@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bio/seqgen.hh"
+#include "model/af3_model.hh"
 #include "model/diffusion.hh"
 #include "model/layers.hh"
 #include "model/pairformer.hh"
@@ -461,14 +462,10 @@ BM_DiffusionStepArena(benchmark::State &state)
 BENCHMARK(BM_DiffusionStepArena)->Arg(32)->Arg(64);
 
 // --- Task-graph schedulers --------------------------------------------------
-//
-// Fork-join vs task-graph pairs for the acceptance comparison: the
-// same pool, shape, and compiled unit bodies; only the scheduler
-// differs (barriered parallelFor sweeps vs one TaskGroup dependency
-// graph per block), so the ratio isolates barrier drain time.
 
+/** One Pairformer block on the pool: the task graph that ships. */
 void
-runPairformerBlockBench(benchmark::State &state, bool taskGraph)
+BM_PairformerBlockTaskGraph(benchmark::State &state)
 {
     const auto n = static_cast<size_t>(state.range(0));
     auto cfg = benchConfig();
@@ -477,7 +474,6 @@ runPairformerBlockBench(benchmark::State &state, bool taskGraph)
     tensor::Arena arena;
     cfg.pool = &pool;
     cfg.arena = &arena;
-    cfg.taskGraph = taskGraph;
     Rng rng(14);
     const model::Pairformer block(cfg, rng);
     model::PairState s;
@@ -489,20 +485,39 @@ runPairformerBlockBench(benchmark::State &state, bool taskGraph)
         benchmark::DoNotOptimize(s.pair.data());
     }
 }
-
-void
-BM_PairformerBlockForkJoin(benchmark::State &state)
-{
-    runPairformerBlockBench(state, false);
-}
-BENCHMARK(BM_PairformerBlockForkJoin)->Arg(32)->Arg(64);
-
-void
-BM_PairformerBlockTaskGraph(benchmark::State &state)
-{
-    runPairformerBlockBench(state, true);
-}
 BENCHMARK(BM_PairformerBlockTaskGraph)->Arg(32)->Arg(64);
+
+/**
+ * End-to-end Af3Model::infer (embed, Pairformer, diffusion,
+ * confidence, with the per-layer profile hook) on an N-token
+ * protein: the mini model at pairDim 32 with 4 Pairformer blocks,
+ * pool and arena attached.
+ */
+void
+BM_Af3InferEndToEnd(benchmark::State &state)
+{
+    const auto n = static_cast<size_t>(state.range(0));
+    auto cfg = model::miniConfig();
+    cfg.pairDim = 32;
+    cfg.pairformerBlocks = 4;
+    ThreadPool pool(kBenchPoolThreads);
+    tensor::Arena arena;
+    cfg.pool = &pool;
+    cfg.arena = &arena;
+    const model::Af3Model model(cfg, 15);
+    bio::SequenceGenerator gen(16);
+    bio::Complex complex("bench");
+    complex.addChain(gen.random("A", bio::MoleculeType::Protein, n));
+    const model::MsaFeatures msa{{256}};
+    for (auto _ : state) {
+        const auto result = model.infer(complex, msa);
+        benchmark::DoNotOptimize(result.structure.coords.data());
+    }
+}
+BENCHMARK(BM_Af3InferEndToEnd)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Overlapped staged database scan, queue engine vs TaskGroup engine

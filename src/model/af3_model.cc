@@ -1,7 +1,5 @@
 #include "model/af3_model.hh"
 
-#include <chrono>
-
 namespace afsb::model {
 
 namespace {
@@ -91,7 +89,8 @@ Af3Model::infer(const bio::Complex &complex_input,
                 const MsaFeatures &msa, uint64_t sample_seed) const
 {
     InferenceResult result;
-    auto hook = [&](const std::string &name, double seconds) {
+    const LayerTimeHook hook = [&](const std::string &name,
+                                   double seconds) {
         result.profile[name] += seconds;
     };
 
@@ -102,12 +101,10 @@ Af3Model::infer(const bio::Complex &complex_input,
     Rng noise(sample_seed * 0x2545f4914f6cdd1dull + 0x1234);
     result.structure = diffusion_.sample(state, noise, hook);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    result.confidence = computeConfidence(state, confidence_);
-    hook("confidence_head",
-         std::chrono::duration<double>(
-             std::chrono::steady_clock::now() - t0)
-             .count());
+    {
+        ScopedLayerTimer t(hook, "confidence_head");
+        result.confidence = computeConfidence(state, confidence_);
+    }
     return result;
 }
 

@@ -1,7 +1,9 @@
 #include "model/block_graph.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -54,6 +56,144 @@ struct LineBlocks
  *  updated the pair lines of block bl. */
 using BlockChain = std::function<void(size_t)>;
 
+using Clock = std::chrono::steady_clock;
+
+/// Nanoseconds the calling thread spent in metered bodies nested
+/// inside the body it is running (an inline group runs a spawned
+/// task inside its spawner); subtracted so every body is charged
+/// only its exclusive time.
+thread_local int64_t tlsNestedNs = 0;
+
+/**
+ * Busy time of one sub-layer's tasks: one counter per TaskGroup
+ * runner slot (a slot runs on one thread at a time), merged in slot
+ * order once the window has synced.  Disabled — no clock reads —
+ * when nothing consumes the time.
+ */
+class BusyMeter
+{
+  public:
+    BusyMeter(const TaskGroup &g, bool enabled)
+        : g_(g), ns_(enabled ? g.slots() : 0)
+    {
+    }
+
+    template <class F> void run(const F &body)
+    {
+        if (ns_.empty()) {
+            body();
+            return;
+        }
+        const int64_t outer = tlsNestedNs;
+        tlsNestedNs = 0;
+        const auto t0 = Clock::now();
+        body();
+        const int64_t dt =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - t0)
+                .count();
+        ns_[g_.currentSlot()].ns += dt - tlsNestedNs;
+        tlsNestedNs = outer + dt;
+    }
+
+    double seconds() const
+    {
+        int64_t total = 0;
+        for (const Counter &c : ns_)
+            total += c.ns;
+        return static_cast<double>(total) * 1e-9;
+    }
+
+  private:
+    struct alignas(64) Counter
+    {
+        int64_t ns = 0;
+    };
+    const TaskGroup &g_;
+    std::vector<Counter> ns_;
+};
+
+/**
+ * A graph sub-layer: spawns and gates through this base charge their
+ * bodies' busy time to the sub-layer's meter.
+ */
+class SubLayer
+{
+  public:
+    SubLayer(const SubLayer &) = delete;
+    SubLayer &operator=(const SubLayer &) = delete;
+
+    const BusyMeter &busy() const { return busy_; }
+
+  protected:
+    SubLayer(TaskGroup &g, bool timed) : g_(g), busy_(g, timed) {}
+
+    template <class F> void spawn(F body)
+    {
+        g_.spawn([this, body] { busy_.run(body); });
+    }
+
+    template <class F> TaskGroup::Gate *gate(size_t count, F body)
+    {
+        return g_.gate(count, [this, body] { busy_.run(body); });
+    }
+
+    TaskGroup &g_;
+    BusyMeter busy_;
+};
+
+/**
+ * Feeds a LayerTimeHook from consecutive sync windows: each window's
+ * wall time, measured from the previous window's end, is split among
+ * the window's sub-layers by busy share (the last part takes the
+ * rounding remainder), so the parts sum to the run's wall time.
+ */
+class WindowReporter
+{
+  public:
+    struct Part
+    {
+        const char *name;
+        const BusyMeter *busy;
+    };
+
+    explicit WindowReporter(const LayerTimeHook &hook) : hook_(hook)
+    {
+        if (hook_)
+            last_ = Clock::now();
+    }
+
+    bool timed() const { return static_cast<bool>(hook_); }
+
+    /** Close the window that just synced. */
+    void close(const std::vector<Part> &parts)
+    {
+        if (!hook_)
+            return;
+        const auto now = Clock::now();
+        const double wall =
+            std::chrono::duration<double>(now - last_).count();
+        last_ = now;
+        double busy = 0.0;
+        for (const Part &p : parts)
+            busy += p.busy->seconds();
+        double left = wall;
+        for (size_t i = 0; i < parts.size(); ++i) {
+            const double share =
+                busy > 0.0 ? parts[i].busy->seconds() / busy
+                           : 1.0 / static_cast<double>(parts.size());
+            const double t =
+                i + 1 < parts.size() ? wall * share : left;
+            left -= t;
+            hook_(parts[i].name, t);
+        }
+    }
+
+  private:
+    const LayerTimeHook &hook_;
+    Clock::time_point last_;
+};
+
 /**
  * One triangle multiplicative update as a graph segment.
  *
@@ -64,13 +204,13 @@ using BlockChain = std::function<void(size_t)>;
  *     -> O[bl] (LN + out projection + gate + residual, row-local)
  *     -> next sub-layer's A[bl].
  */
-class TriMultSub
+class TriMultSub : public SubLayer
 {
   public:
     TriMultSub(TaskGroup &g, Tensor &pair,
                const TriangleMultWeights &w, bool outgoing,
-               Arena *arena)
-        : g_(g), pair_(pair), w_(w), outgoing_(outgoing),
+               Arena *arena, bool timed)
+        : SubLayer(g, timed), pair_(pair), w_(w), outgoing_(outgoing),
           n_(pair.dim(0)), c_(pair.dim(2)), lb_(n_)
     {
         const std::vector<size_t> pairShape{n_, n_, c_};
@@ -87,14 +227,14 @@ class TriMultSub
             bT_ = Tensor::uninitialized(pairShape, arena);
         }
 
-        allA_ = g_.gate(lb_.nb, [this] { onAllA(); });
+        allA_ = gate(lb_.nb, [this] { onAllA(); });
         if (!outgoing_)
-            allT_ = g_.gate(lb_.nb, [this] {
+            allT_ = gate(lb_.nb, [this] {
                 spawnTiles(aT_.data(), bT_.data());
             });
         oGate_.resize(lb_.nb);
         for (size_t bl = 0; bl < lb_.nb; ++bl)
-            oGate_[bl] = g_.gate(1, [this, bl] { oBody(bl); });
+            oGate_[bl] = gate(1, [this, bl] { oBody(bl); });
     }
 
     void setNext(BlockChain next) { next_ = std::move(next); }
@@ -103,7 +243,7 @@ class TriMultSub
      *  previous sub-layer's O task). */
     void start(size_t bl)
     {
-        g_.spawn([this, bl] { aBody(bl); });
+        spawn([this, bl] { aBody(bl); });
     }
 
   private:
@@ -142,7 +282,7 @@ class TriMultSub
             return;
         }
         for (size_t bl = 0; bl < lb_.nb; ++bl)
-            g_.spawn([this, bl] {
+            spawn([this, bl] {
                 unitk::transposeLinesRange(aT_.data(), aBuf_.data(),
                                            n_, c_, lb_.lo(bl),
                                            lb_.hi(bl));
@@ -156,7 +296,7 @@ class TriMultSub
     void spawnTiles(const float *ap, const float *bp)
     {
         for (size_t u = 0; u < lb_.nb; ++u)
-            g_.spawn([this, ap, bp, u] {
+            spawn([this, ap, bp, u] {
                 unitk::triMultTile(out_.data(), ap, bp, n_, c_, u);
                 oGate_[u]->arrive();
             });
@@ -179,7 +319,6 @@ class TriMultSub
             next_(bl);
     }
 
-    TaskGroup &g_;
     Tensor &pair_;
     const TriangleMultWeights &w_;
     bool outgoing_;
@@ -205,13 +344,13 @@ class TriMultSub
  *        releases every O[bl] at once
  *     -> O[bl] (out projection + residual) -> next sub-layer.
  */
-class TriAttnSub
+class TriAttnSub : public SubLayer
 {
   public:
     TriAttnSub(TaskGroup &g, Tensor &pair,
                const TriangleAttnWeights &w, bool starting,
-               const ModelConfig &cfg, Arena *arena)
-        : g_(g), pair_(pair), w_(w), starting_(starting),
+               const ModelConfig &cfg, Arena *arena, bool timed)
+        : SubLayer(g, timed), pair_(pair), w_(w), starting_(starting),
           n_(pair.dim(0)), c_(pair.dim(2)), heads_(cfg.heads),
           dh_(cfg.headDim), lb_(n_)
     {
@@ -225,18 +364,18 @@ class TriAttnSub
         ctx_ = Tensor::zeros({n_, n_, hd}, arena);
         update_ = Tensor::uninitialized({n_, n_, c_}, arena);
 
-        allA_ = g_.gate(lb_.nb, [this] { onAllA(); });
-        packG_ = g_.gate(heads_, [this] { spawnUnits(); });
+        allA_ = gate(lb_.nb, [this] { onAllA(); });
+        packG_ = gate(heads_, [this] { spawnUnits(); });
         if (starting_) {
             oGate_.resize(lb_.nb);
             for (size_t bl = 0; bl < lb_.nb; ++bl)
-                oGate_[bl] = g_.gate(
+                oGate_[bl] = gate(
                     (lb_.hi(bl) - lb_.lo(bl)) * heads_,
                     [this, bl] { oBody(bl); });
         } else {
-            allU_ = g_.gate(n_ * heads_, [this] {
+            allU_ = gate(n_ * heads_, [this] {
                 for (size_t bl = 0; bl < lb_.nb; ++bl)
-                    g_.spawn([this, bl] { oBody(bl); });
+                    spawn([this, bl] { oBody(bl); });
             });
         }
     }
@@ -245,7 +384,7 @@ class TriAttnSub
 
     void start(size_t bl)
     {
-        g_.spawn([this, bl] { aBody(bl); });
+        spawn([this, bl] { aBody(bl); });
     }
 
   private:
@@ -275,7 +414,7 @@ class TriAttnSub
     void onAllA()
     {
         for (size_t h = 0; h < heads_; ++h)
-            g_.spawn([this, h] {
+            spawn([this, h] {
                 unitk::packTriBiasRows(pack_.data(), biasT_.data(),
                                        n_, heads_, starting_, h * n_,
                                        (h + 1) * n_);
@@ -286,7 +425,7 @@ class TriAttnSub
     void spawnUnits()
     {
         for (size_t u = 0; u < n_ * heads_; ++u)
-            g_.spawn([this, u] {
+            spawn([this, u] {
                 unitk::triAttnUnit(ctx_.data(), q_.data(), k_.data(),
                                    v_.data(), pack_.data(), n_,
                                    heads_, dh_, starting_, u,
@@ -313,7 +452,6 @@ class TriAttnSub
             next_(bl);
     }
 
-    TaskGroup &g_;
     Tensor &pair_;
     const TriangleAttnWeights &w_;
     bool starting_;
@@ -329,12 +467,12 @@ class TriAttnSub
 
 /** Row-local transition MLP over pair line blocks: one task per
  *  block, no latch anywhere — the purest chain link. */
-class PairTransSub
+class PairTransSub : public SubLayer
 {
   public:
     PairTransSub(TaskGroup &g, Tensor &pair,
-                 const TransitionWeights &w, Arena *arena)
-        : g_(g), pair_(pair), w_(w), n_(pair.dim(0)),
+                 const TransitionWeights &w, Arena *arena, bool timed)
+        : SubLayer(g, timed), pair_(pair), w_(w), n_(pair.dim(0)),
           c_(pair.dim(2)), hidden_(w.w1.dim(1)), lb_(n_)
     {
         normT_ = Tensor::uninitialized({n_, n_, c_}, arena);
@@ -346,7 +484,7 @@ class PairTransSub
 
     void start(size_t bl)
     {
-        g_.spawn([this, bl] { body(bl); });
+        spawn([this, bl] { body(bl); });
     }
 
   private:
@@ -369,7 +507,6 @@ class PairTransSub
             next_(bl);
     }
 
-    TaskGroup &g_;
     Tensor &pair_;
     const TransitionWeights &w_;
     size_t n_, c_, hidden_;
@@ -383,16 +520,19 @@ class PairTransSub
  * tail of window 3: the pair-bias projection chains per line block
  * off the pair transition, the single-side q/k/v task runs
  * concurrently from the window start, and one latch releases the
- * per-head units once both sides are in.
+ * per-head units once both sides are in.  The base meter times the
+ * attention; the transition, run inside the same final task, has a
+ * meter of its own.
  */
-class SingleTailSub
+class SingleTailSub : public SubLayer
 {
   public:
     SingleTailSub(TaskGroup &g, Tensor &single, const Tensor &pair,
                   const SingleAttnWeights &wa,
                   const TransitionWeights &wt,
-                  const ModelConfig &cfg, Arena *arena)
-        : g_(g), single_(single), pair_(pair), wa_(wa), wt_(wt),
+                  const ModelConfig &cfg, Arena *arena, bool timed)
+        : SubLayer(g, timed), transBusy_(g, timed), single_(single),
+          pair_(pair), wa_(wa), wt_(wt),
           n_(single.dim(0)), cs_(single.dim(1)), cz_(pair.dim(2)),
           heads_(cfg.heads), dh_(cfg.headDim),
           hidden_(wt.w1.dim(1)), lb_(pair.dim(0))
@@ -409,9 +549,9 @@ class SingleTailSub
         updS_ = Tensor::uninitialized({n_, cs_}, arena);
         hS_ = Tensor::uninitialized({n_, hidden_}, arena);
 
-        gSA_ = g_.gate(lb_.nb + 1, [this] {
+        gSA_ = gate(lb_.nb + 1, [this] {
             for (size_t h = 0; h < heads_; ++h)
-                g_.spawn([this, h] {
+                spawn([this, h] {
                     unitk::singleAttnHead(ctxS_.data(), qS_.data(),
                                           kS_.data(), vS_.data(),
                                           biasS_.data(), n_, heads_,
@@ -421,13 +561,15 @@ class SingleTailSub
                     gCtx_->arrive();
                 });
         });
-        gCtx_ = g_.gate(heads_, [this] { tailBody(); });
+        gCtx_ = gate(heads_, [this] { tailBody(); });
     }
+
+    const BusyMeter &transitionBusy() const { return transBusy_; }
 
     /** Per-pair-line-block bias chain hook (pair transition next_). */
     void biasStart(size_t bl)
     {
-        g_.spawn([this, bl] {
+        spawn([this, bl] {
             const size_t r0 = lb_.lo(bl) * lb_.n;
             const size_t r1 = lb_.hi(bl) * lb_.n;
             rowops::layerNormRows(pair_.data(), normP_.data(), cz_,
@@ -442,7 +584,7 @@ class SingleTailSub
     /** Single-side projections; independent of the pair chain. */
     void startSingleSide()
     {
-        g_.spawn([this] {
+        spawn([this] {
             const size_t hd = heads_ * dh_;
             const float invSqrt =
                 1.0f / std::sqrt(static_cast<float>(dh_));
@@ -469,18 +611,23 @@ class SingleTailSub
                            0, n_);
         rowops::addRange(single_.data(), updS_.data(), 0, n_ * cs_);
         // Single transition, row-local, reusing the scratch.
-        rowops::layerNormRows(single_.data(), normS_.data(), cs_,
-                              kEps, 0, n_);
-        rowops::linearRows(normS_.data(), wt_.w1.data(),
-                           wt_.b1.data(), hS_.data(), cs_, hidden_,
-                           0, n_);
-        rowops::geluRange(hS_.data(), hS_.data(), 0, n_ * hidden_);
-        rowops::linearRows(hS_.data(), wt_.w2.data(), wt_.b2.data(),
-                           updS_.data(), hidden_, cs_, 0, n_);
-        rowops::addRange(single_.data(), updS_.data(), 0, n_ * cs_);
+        transBusy_.run([this] {
+            rowops::layerNormRows(single_.data(), normS_.data(), cs_,
+                                  kEps, 0, n_);
+            rowops::linearRows(normS_.data(), wt_.w1.data(),
+                               wt_.b1.data(), hS_.data(), cs_,
+                               hidden_, 0, n_);
+            rowops::geluRange(hS_.data(), hS_.data(), 0,
+                              n_ * hidden_);
+            rowops::linearRows(hS_.data(), wt_.w2.data(),
+                               wt_.b2.data(), updS_.data(), hidden_,
+                               cs_, 0, n_);
+            rowops::addRange(single_.data(), updS_.data(), 0,
+                             n_ * cs_);
+        });
     }
 
-    TaskGroup &g_;
+    BusyMeter transBusy_;
     Tensor &single_;
     const Tensor &pair_;
     const SingleAttnWeights &wa_;
@@ -503,12 +650,13 @@ class SingleTailSub
  *     -> O[rb] (out projection + residual + transition, row-local)
  *     -> the next block's A[rb].
  */
-class TokenAttnSub
+class TokenAttnSub : public SubLayer
 {
   public:
     TokenAttnSub(TaskGroup &g, Tensor &h, const AttnBlockWeights &w,
-                 size_t window, const ModelConfig &cfg, Arena *arena)
-        : g_(g), h_(h), w_(w), window_(window), n_(h.dim(0)),
+                 size_t window, const ModelConfig &cfg, Arena *arena,
+                 bool timed)
+        : SubLayer(g, timed), h_(h), w_(w), window_(window), n_(h.dim(0)),
           ct_(h.dim(1)), heads_(cfg.heads), dh_(cfg.headDim),
           hidden_(w.transition.w1.dim(1)),
           nrb_((n_ + kTokenRowBlock - 1) / kTokenRowBlock)
@@ -524,10 +672,10 @@ class TokenAttnSub
         normT_ = Tensor::uninitialized({n_, ct_}, arena);
         hbuf_ = Tensor::uninitialized({n_, hidden_}, arena);
 
-        allA_ = g_.gate(nrb_, [this] { spawnHeads(); });
-        gUnits_ = g_.gate(heads_ * nrb_, [this] {
+        allA_ = gate(nrb_, [this] { spawnHeads(); });
+        gUnits_ = gate(heads_ * nrb_, [this] {
             for (size_t rb = 0; rb < nrb_; ++rb)
-                g_.spawn([this, rb] { oBody(rb); });
+                spawn([this, rb] { oBody(rb); });
         });
     }
 
@@ -535,7 +683,7 @@ class TokenAttnSub
 
     void start(size_t rb)
     {
-        g_.spawn([this, rb] { aBody(rb); });
+        spawn([this, rb] { aBody(rb); });
     }
 
     size_t rowBlocks() const { return nrb_; }
@@ -569,12 +717,12 @@ class TokenAttnSub
     void spawnHeads()
     {
         for (size_t h = 0; h < heads_; ++h)
-            g_.spawn([this, h] {
+            spawn([this, h] {
                 float *slab = slabs_.data() + h * dh_ * n_;
                 unitk::tokenAttnSlab(slab, k_.data(), n_, heads_,
                                      dh_, h);
                 for (size_t rb = 0; rb < nrb_; ++rb)
-                    g_.spawn([this, h, slab, rb] {
+                    spawn([this, h, slab, rb] {
                         unitk::tokenAttnRows(
                             ctx_.data(), q_.data(), slab, v_.data(),
                             n_, heads_, dh_, h, window_, rlo(rb),
@@ -607,7 +755,6 @@ class TokenAttnSub
             next_->start(rb);
     }
 
-    TaskGroup &g_;
     Tensor &h_;
     const AttnBlockWeights &w_;
     size_t window_;
@@ -624,67 +771,78 @@ constexpr size_t kDiffusionWindowBlocks = 4;
 
 } // namespace
 
-bool
-taskGraphEligible(const ModelConfig &cfg, bool hooked)
-{
-    return cfg.taskGraph && cfg.pool != nullptr && !cfg.forceNaive &&
-           !hooked && !ThreadPool::inWorker() && !TaskGroup::inTask();
-}
-
 void
 runPairformerBlock(Tensor &pair, Tensor &single,
                    const PairformerBlockWeights &w,
-                   const ModelConfig &cfg)
+                   const ModelConfig &cfg, const LayerTimeHook &hook)
 {
     TaskGroup g(cfg.pool);
     Arena *arena = cfg.arena;
     const LineBlocks lb(pair.dim(0));
+    WindowReporter report(hook);
+    const bool timed = report.timed();
 
     {
         Arena::Scope scope(arena);
-        TriMultSub mOut(g, pair, w.triMultOut, true, arena);
-        TriMultSub mIn(g, pair, w.triMultIn, false, arena);
+        TriMultSub mOut(g, pair, w.triMultOut, true, arena, timed);
+        TriMultSub mIn(g, pair, w.triMultIn, false, arena, timed);
         mOut.setNext([&mIn](size_t bl) { mIn.start(bl); });
         for (size_t bl = 0; bl < lb.nb; ++bl)
             mOut.start(bl);
         g.sync();
+        report.close({{"triangle_mult_outgoing", &mOut.busy()},
+                      {"triangle_mult_incoming", &mIn.busy()}});
     }
     {
         Arena::Scope scope(arena);
-        TriAttnSub aStart(g, pair, w.triAttnStart, true, cfg, arena);
-        TriAttnSub aEnd(g, pair, w.triAttnEnd, false, cfg, arena);
+        TriAttnSub aStart(g, pair, w.triAttnStart, true, cfg, arena,
+                          timed);
+        TriAttnSub aEnd(g, pair, w.triAttnEnd, false, cfg, arena,
+                        timed);
         aStart.setNext([&aEnd](size_t bl) { aEnd.start(bl); });
         for (size_t bl = 0; bl < lb.nb; ++bl)
             aStart.start(bl);
         g.sync();
+        report.close({{"triangle_attention_starting", &aStart.busy()},
+                      {"triangle_attention_ending", &aEnd.busy()}});
     }
     {
         Arena::Scope scope(arena);
-        PairTransSub pt(g, pair, w.pairTrans, arena);
+        PairTransSub pt(g, pair, w.pairTrans, arena, timed);
         SingleTailSub tail(g, single, pair, w.singleAttn,
-                           w.singleTrans, cfg, arena);
+                           w.singleTrans, cfg, arena, timed);
         pt.setNext([&tail](size_t bl) { tail.biasStart(bl); });
         for (size_t bl = 0; bl < lb.nb; ++bl)
             pt.start(bl);
         tail.startSingleSide();
         g.sync();
+        report.close({{"pair_transition", &pt.busy()},
+                      {"single_attention", &tail.busy()},
+                      {"single_transition", &tail.transitionBusy()}});
     }
 }
 
 void
 runDiffusionTokenStack(Tensor &h, const DiffusionWeights &w,
-                       const ModelConfig &cfg)
+                       const ModelConfig &cfg, const LayerTimeHook &hook)
 {
-    std::vector<std::pair<const AttnBlockWeights *, size_t>> seq;
+    struct Block
+    {
+        const AttnBlockWeights *w;
+        size_t window;
+        const char *name;
+    };
+    std::vector<Block> seq;
     for (const auto &b : w.localEnc)
-        seq.emplace_back(&b, cfg.localWindow);
+        seq.push_back({&b, cfg.localWindow, "local_attention_encoder"});
     for (const auto &b : w.globalAttn)
-        seq.emplace_back(&b, size_t{0});
+        seq.push_back({&b, 0, "global_attention"});
     for (const auto &b : w.localDec)
-        seq.emplace_back(&b, cfg.localWindow);
+        seq.push_back({&b, cfg.localWindow, "local_attention_decoder"});
 
     TaskGroup g(cfg.pool);
     Arena *arena = cfg.arena;
+    WindowReporter report(hook);
     for (size_t w0 = 0; w0 < seq.size();
          w0 += kDiffusionWindowBlocks) {
         const size_t w1 =
@@ -694,12 +852,17 @@ runDiffusionTokenStack(Tensor &h, const DiffusionWeights &w,
         blocks.reserve(w1 - w0);
         for (size_t i = w0; i < w1; ++i)
             blocks.push_back(std::make_unique<TokenAttnSub>(
-                g, h, *seq[i].first, seq[i].second, cfg, arena));
+                g, h, *seq[i].w, seq[i].window, cfg, arena,
+                report.timed()));
         for (size_t i = 0; i + 1 < blocks.size(); ++i)
             blocks[i]->setNext(blocks[i + 1].get());
         for (size_t rb = 0; rb < blocks.front()->rowBlocks(); ++rb)
             blocks.front()->start(rb);
         g.sync();
+        std::vector<WindowReporter::Part> parts;
+        for (size_t i = w0; i < w1; ++i)
+            parts.push_back({seq[i].name, &blocks[i - w0]->busy()});
+        report.close(parts);
     }
 }
 

@@ -82,28 +82,17 @@ struct ModelConfig
     tensor::Arena *arena = nullptr;
 
     /**
-     * Force the reference (naive-loop) kernels for triangle
-     * attention, triangle multiplicative update, single attention,
-     * and diffusion token attention instead of the GEMM-shaped
-     * fast paths. The naive kernels are the correctness baseline:
-     * the equivalence tests hold the fast paths to <= 1e-4 max
-     * relative difference against them.
+     * Force the reference (naive-loop) kernels in the layer-level
+     * functions (layers.cc: triangle attention, triangle
+     * multiplicative update, single attention; diffusion.cc:
+     * tokenAttention) instead of the GEMM-shaped fast paths. The
+     * naive kernels are the correctness baseline: the equivalence
+     * tests hold the fast paths to <= 1e-4 max relative difference
+     * against them. Layer-level only: Pairformer::forward and the
+     * diffusion denoise step always run the task graphs
+     * (block_graph.cc), which use the fast kernels.
      */
     bool forceNaive = false;
-
-    /**
-     * Schedule the fast-path Pairformer block and diffusion token
-     * transformer as TaskGroup task graphs (block_graph.cc) instead
-     * of a barriered sequence of parallelFor sweeps. Independent
-     * units of the next sub-layer start as soon as the lines they
-     * read are finished, so workers never idle at a sub-layer
-     * barrier. Unit bodies, partitions, and output slots are shared
-     * with the fork-join path, so results are bit-identical at every
-     * pool size and with the flag off. Ignored (classic path) when
-     * pool is nullptr, forceNaive is set, or a layer-time hook needs
-     * per-layer barriers for attribution.
-     */
-    bool taskGraph = true;
 };
 
 /** Published AF3 dimensions (FLOP accounting / GPU simulation). */

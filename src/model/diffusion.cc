@@ -1,6 +1,5 @@
 #include "model/diffusion.hh"
 
-#include <chrono>
 #include <cmath>
 
 #include "model/block_graph.hh"
@@ -23,30 +22,6 @@ initWeight(size_t in, size_t out, Rng &rng)
         {in, out}, rng,
         1.0f / std::sqrt(static_cast<float>(in)));
 }
-
-class LayerTimer
-{
-  public:
-    LayerTimer(const LayerTimeHook &hook, const char *name)
-        : hook_(hook), name_(name),
-          start_(std::chrono::steady_clock::now())
-    {}
-
-    ~LayerTimer()
-    {
-        if (hook_) {
-            const auto end = std::chrono::steady_clock::now();
-            hook_(name_,
-                  std::chrono::duration<double>(end - start_)
-                      .count());
-        }
-    }
-
-  private:
-    const LayerTimeHook &hook_;
-    const char *name_;
-    std::chrono::steady_clock::time_point start_;
-};
 
 /**
  * GEMM-shaped token attention. One unit = one head: K is gathered
@@ -236,28 +211,12 @@ DiffusionModule::denoiseStep(Tensor &coords, const Tensor &cond,
                       arena));
     }
 
-    // Task-graph scheduler for the token-transformer stack:
-    // bit-identical to the loop below (shared unit bodies), kept
-    // behind the same eligibility gate as the Pairformer graph.
-    if (graph::taskGraphEligible(cfg_, hook != nullptr)) {
-        graph::runDiffusionTokenStack(h, weights_, cfg_);
-    } else {
-        for (const auto &w : weights_.localEnc) {
-            LayerTimer t(hook, "local_attention_encoder");
-            tokenAttention(h, w, cfg_, cfg_.localWindow);
-        }
-        for (const auto &w : weights_.globalAttn) {
-            LayerTimer t(hook, "global_attention");
-            tokenAttention(h, w, cfg_, 0);
-        }
-        for (const auto &w : weights_.localDec) {
-            LayerTimer t(hook, "local_attention_decoder");
-            tokenAttention(h, w, cfg_, cfg_.localWindow);
-        }
-    }
+    // Token-transformer stack (local encoder, global attention,
+    // local decoder) as one task graph.
+    graph::runDiffusionTokenStack(h, weights_, cfg_, hook);
 
     // Denoised estimate; coordinates step toward it.
-    LayerTimer t(hook, "coordinate_update");
+    ScopedLayerTimer t(hook, "coordinate_update");
     const Tensor denoised = tensor::add(
         tensor::scale(coords, 0.5f, arena),
         linear(tensor::layerNorm(h, 1e-5f, cfg_.pool, arena),

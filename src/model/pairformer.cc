@@ -1,39 +1,8 @@
 #include "model/pairformer.hh"
 
-#include <chrono>
-
 #include "model/block_graph.hh"
 
 namespace afsb::model {
-
-namespace {
-
-/** Wall-clock wrapper feeding the layer hook. */
-class LayerTimer
-{
-  public:
-    LayerTimer(const LayerTimeHook &hook, const char *name)
-        : hook_(hook), name_(name),
-          start_(std::chrono::steady_clock::now())
-    {}
-
-    ~LayerTimer()
-    {
-        if (hook_) {
-            const auto end = std::chrono::steady_clock::now();
-            hook_(name_,
-                  std::chrono::duration<double>(end - start_)
-                      .count());
-        }
-    }
-
-  private:
-    const LayerTimeHook &hook_;
-    const char *name_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-} // namespace
 
 PairformerBlockWeights
 PairformerBlockWeights::init(const ModelConfig &cfg, Rng &rng)
@@ -59,53 +28,9 @@ Pairformer::Pairformer(const ModelConfig &cfg, Rng &rng) : cfg_(cfg)
 void
 Pairformer::forward(PairState &state, const LayerTimeHook &hook) const
 {
-    // Task-graph scheduler: one dependency graph per block instead
-    // of seven barriered layers. Bit-identical to the classic path
-    // (shared unit bodies, even-aligned partitions); the classic
-    // path remains for per-layer timing attribution, forceNaive,
-    // and the no-pool case.
-    if (graph::taskGraphEligible(cfg_, hook != nullptr)) {
-        for (const auto &w : blocks_)
-            graph::runPairformerBlock(state.pair, state.single, w,
-                                      cfg_);
-        return;
-    }
-    for (const auto &w : blocks_) {
-        {
-            LayerTimer t(hook, "triangle_mult_outgoing");
-            triangleMultiplicativeUpdate(state.pair, w.triMultOut,
-                                         cfg_, true);
-        }
-        {
-            LayerTimer t(hook, "triangle_mult_incoming");
-            triangleMultiplicativeUpdate(state.pair, w.triMultIn,
-                                         cfg_, false);
-        }
-        {
-            LayerTimer t(hook, "triangle_attention_starting");
-            triangleAttention(state.pair, w.triAttnStart, cfg_,
-                              true);
-        }
-        {
-            LayerTimer t(hook, "triangle_attention_ending");
-            triangleAttention(state.pair, w.triAttnEnd, cfg_, false);
-        }
-        {
-            LayerTimer t(hook, "pair_transition");
-            pairTransition(state.pair, w.pairTrans, cfg_.pool,
-                           cfg_.arena);
-        }
-        {
-            LayerTimer t(hook, "single_attention");
-            singleAttentionWithPairBias(state.single, state.pair,
-                                        w.singleAttn, cfg_);
-        }
-        {
-            LayerTimer t(hook, "single_transition");
-            pairTransition(state.single, w.singleTrans, cfg_.pool,
-                           cfg_.arena);
-        }
-    }
+    for (const auto &w : blocks_)
+        graph::runPairformerBlock(state.pair, state.single, w, cfg_,
+                                  hook);
 }
 
 uint64_t

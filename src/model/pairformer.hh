@@ -12,6 +12,7 @@
 #ifndef AFSB_MODEL_PAIRFORMER_HH
 #define AFSB_MODEL_PAIRFORMER_HH
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -48,12 +49,48 @@ struct PairformerBlockWeights
 };
 
 /**
- * Callback invoked after each layer with (layer name, seconds of
- * wall time); used by the profiler to build Fig 9-style breakdowns
- * of the real mini-model.
+ * Callback invoked with (layer name, seconds); used by the profiler
+ * to build Fig 9-style breakdowns of the real mini-model.
+ *
+ * The seconds are wall time on the path that ships. The Pairformer
+ * block and the diffusion token stack run as task graphs whose
+ * sub-layers overlap, so each sync window's wall time is split among
+ * the sub-layers it ran by their share of the window's summed task
+ * busy time: the hook fires once per sub-layer per window, and the
+ * parts of a forward sum to its wall time. Stages outside the graphs
+ * (coordinate_update, confidence_head) report their own scope's wall
+ * time through ScopedLayerTimer.
  */
 using LayerTimeHook =
     std::function<void(const std::string &, double)>;
+
+/** Reports the wall time of its own scope to a hook (no-op if null). */
+class ScopedLayerTimer
+{
+  public:
+    ScopedLayerTimer(const LayerTimeHook &hook, const char *name)
+        : hook_(hook), name_(name),
+          start_(std::chrono::steady_clock::now())
+    {}
+
+    ~ScopedLayerTimer()
+    {
+        if (hook_)
+            hook_(name_, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count());
+    }
+
+    /** The timer keeps a reference: a temporary hook would dangle. */
+    ScopedLayerTimer(LayerTimeHook &&, const char *) = delete;
+    ScopedLayerTimer(const ScopedLayerTimer &) = delete;
+    ScopedLayerTimer &operator=(const ScopedLayerTimer &) = delete;
+
+  private:
+    const LayerTimeHook &hook_;
+    const char *name_;
+    std::chrono::steady_clock::time_point start_;
+};
 
 /** The full Pairformer stack. */
 class Pairformer
@@ -62,7 +99,12 @@ class Pairformer
     /** Initialize @p cfg.pairformerBlocks blocks of random weights. */
     Pairformer(const ModelConfig &cfg, Rng &rng);
 
-    /** Run the stack over @p state in place. */
+    /**
+     * Run the stack over @p state in place: one task graph per block
+     * (graph::runPairformerBlock), on cfg.pool when set and inline on
+     * the caller otherwise. @p hook receives each sub-layer's share
+     * of the wall time (see LayerTimeHook).
+     */
     void forward(PairState &state,
                  const LayerTimeHook &hook = nullptr) const;
 
