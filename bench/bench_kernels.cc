@@ -27,13 +27,16 @@
 #include <string>
 #include <vector>
 
+#include "bio/samples.hh"
 #include "bio/seqgen.hh"
+#include "core/workspace.hh"
 #include "model/af3_model.hh"
 #include "model/diffusion.hh"
 #include "model/layers.hh"
 #include "model/pairformer.hh"
 #include "msa/dbgen.hh"
 #include "msa/dp_kernels.hh"
+#include "msa/msa_builder.hh"
 #include "msa/search.hh"
 #include "tensor/ops.hh"
 #include "util/json.hh"
@@ -574,6 +577,50 @@ BM_StagedScanTaskGraph(benchmark::State &state)
     runStagedScanBench(state, true);
 }
 BENCHMARK(BM_StagedScanTaskGraph)->Arg(300);
+
+/**
+ * MSA row assembly (msa::buildMsa) over the top hits of a 2PV7
+ * chain-A search of the shared workspace protein database: one
+ * traceback alignment per hit, serially and across a pool.
+ */
+void
+runBuildMsaBench(benchmark::State &state, ThreadPool *pool)
+{
+    const auto &db = core::Workspace::shared().proteinDb();
+    const bio::Sequence query =
+        bio::makeSample("2PV7").complex.chains().front();
+    const auto prof = msa::ProfileHmm::fromSequence(
+        query, msa::ScoreMatrix::blosum62());
+    io::StorageDevice dev;
+    io::PageCache cache(1 * GiB, &dev);
+    const auto hits =
+        msa::searchDatabase(prof, db, cache, nullptr, msa::SearchConfig{});
+
+    uint64_t cells = 0;
+    for (auto _ : state) {
+        const auto msa = msa::buildMsa(query, prof, db, hits, {}, pool);
+        benchmark::DoNotOptimize(msa.rows.data());
+        cells += msa.alignCells;
+    }
+    state.counters["hits"] = static_cast<double>(hits.hits.size());
+    state.counters["cells/s"] = benchmark::Counter(
+        static_cast<double>(cells), benchmark::Counter::kIsRate);
+}
+
+void
+BM_BuildMsa(benchmark::State &state)
+{
+    runBuildMsaBench(state, nullptr);
+}
+BENCHMARK(BM_BuildMsa)->Unit(benchmark::kMillisecond);
+
+void
+BM_BuildMsaPool(benchmark::State &state)
+{
+    ThreadPool pool(kBenchPoolThreads);
+    runBuildMsaBench(state, &pool);
+}
+BENCHMARK(BM_BuildMsaPool)->Unit(benchmark::kMillisecond);
 
 // --- Tensor primitives ------------------------------------------------------
 

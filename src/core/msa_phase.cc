@@ -236,7 +236,10 @@ runMsaPhase(const bio::Complex &complex_input,
     result.ioSeconds = ioSeconds;
 
     // Serial tool startup: profile construction, database open, and
-    // result assembly per chain-round (not parallelized by HMMER).
+    // result assembly per chain-round. This is the virtual-clock
+    // model of HMMER, which does not parallelize these steps; it
+    // stays serial even though this project's own buildMsa aligns
+    // hits across the pool (that only moves host time).
     const double serialSeconds =
         1.2 * (proteinPasses + rnaPasses) *
         (5.6 / platform.cpu.maxClockGhz);

@@ -627,74 +627,91 @@ alignToProfile(const ProfileHmm &prof, const bio::Sequence &target,
 
     const int open = prof.gaps().open;
     const int extend = prof.gaps().extend;
+    IntEmissions emit(prof);
 
-    // Full (unbanded) local affine DP with backpointers; only run on
-    // the handful of accepted hits, so the O(L*M) footprint is fine.
-    const size_t W = M + 1;
-    std::vector<int> sM((L + 1) * W, kNeg), sI((L + 1) * W, kNeg),
-        sD((L + 1) * W, kNeg);
-    // Backpointers: bM 0=start 1=M 2=I 3=D; bI 0=M 1=I; bD 0=M 1=D.
-    std::vector<uint8_t> bM((L + 1) * W, 0), bI((L + 1) * W, 0),
-        bD((L + 1) * W, 0);
-
-    for (size_t k = 0; k < W; ++k)
-        sM[k] = kNeg;
+    // Full (unbanded) local affine DP. Scores live in two rolling
+    // rows per state; the traceback keeps one byte per cell, so a
+    // hit costs L*M bytes instead of six (L+1)*(M+1) matrices and
+    // hits aligned concurrently stay small. Backpointer byte:
+    // bits 0-1 M (0=start 1=M 2=I 3=D), bit 2 I (0=M 1=I),
+    // bit 3 D (0=M 1=D).
+    constexpr uint8_t kBitI = 1u << 2, kBitD = 1u << 3;
+    std::vector<uint8_t> trace(L * M);
+    std::vector<int> bufs[6];
+    for (auto &b : bufs)
+        b.assign(M + 1, kNeg);
+    int *pM = bufs[0].data(), *pI = bufs[1].data(),
+        *pD = bufs[2].data();
+    int *cM = bufs[3].data(), *cI = bufs[4].data(),
+        *cD = bufs[5].data();
 
     int best = 0;
     size_t bestJ = 0, bestK = 0;
     for (size_t j = 1; j <= L; ++j) {
-        const uint8_t res = target[j - 1];
-        const size_t row = j * W;
-        const size_t prow = (j - 1) * W;
-        sM[row] = kNeg;
-        for (size_t k = 1; k <= M; ++k) {
-            const int emit = prof.matchScore(k - 1, res);
-            // Match state.
-            int d = 0;
-            uint8_t bp = 0;
-            if (sM[prow + k - 1] > d) {
-                d = sM[prow + k - 1];
-                bp = 1;
+        const int *AFSB_RESTRICT e = emit.row(target[j - 1]);
+        uint8_t *AFSB_RESTRICT bp = trace.data() + (j - 1) * M;
+        {
+            // M and I read the previous row only. Ties keep the
+            // earlier source: M prefers start > M > I > D, I prefers
+            // M over I.
+            const int *AFSB_RESTRICT prevM = pM;
+            const int *AFSB_RESTRICT prevI = pI;
+            const int *AFSB_RESTRICT prevD = pD;
+            int *AFSB_RESTRICT curM = cM;
+            int *AFSB_RESTRICT curI = cI;
+            AFSB_VECTORIZE_LOOP
+            for (size_t k = 1; k <= M; ++k) {
+                int d = 0;
+                uint8_t b = 0;
+                if (prevM[k - 1] > d) {
+                    d = prevM[k - 1];
+                    b = 1;
+                }
+                if (prevI[k - 1] > d) {
+                    d = prevI[k - 1];
+                    b = 2;
+                }
+                if (prevD[k - 1] > d) {
+                    d = prevD[k - 1];
+                    b = 3;
+                }
+                curM[k] = d + e[k - 1];
+                const int iFromM = prevM[k] - open;
+                const int iFromI = prevI[k] - extend;
+                curI[k] = iFromM >= iFromI ? iFromM : iFromI;
+                bp[k - 1] = static_cast<uint8_t>(
+                    b | (iFromM >= iFromI ? 0 : kBitI));
             }
-            if (sI[prow + k - 1] > d) {
-                d = sI[prow + k - 1];
-                bp = 2;
-            }
-            if (sD[prow + k - 1] > d) {
-                d = sD[prow + k - 1];
-                bp = 3;
-            }
-            const int m = d + emit;
-            sM[row + k] = m;
-            bM[row + k] = bp;
-            if (m > best) {
-                best = m;
-                bestJ = j;
-                bestK = k;
-            }
-            // Insert (consume target, keep profile position).
-            const int iFromM = sM[prow + k] - open;
-            const int iFromI = sI[prow + k] - extend;
-            if (iFromM >= iFromI) {
-                sI[row + k] = iFromM;
-                bI[row + k] = 0;
-            } else {
-                sI[row + k] = iFromI;
-                bI[row + k] = 1;
-            }
-            // Delete (consume profile, keep target position).
-            const int dFromM = sM[row + k - 1] - open;
-            const int dFromD = sD[row + k - 1] - extend;
-            if (dFromM >= dFromD) {
-                sD[row + k] = dFromM;
-                bD[row + k] = 0;
-            } else {
-                sD[row + k] = dFromD;
-                bD[row + k] = 1;
-            }
-            ++result.cells;
         }
+        // D carries along the row: short scalar chain.
+        int rowMax = kNeg;
+        size_t rowArg = 0;
+        for (size_t k = 1; k <= M; ++k) {
+            const int dFromM = cM[k - 1] - open;
+            const int dFromD = cD[k - 1] - extend;
+            if (dFromM >= dFromD) {
+                cD[k] = dFromM;
+            } else {
+                cD[k] = dFromD;
+                bp[k - 1] |= kBitD;
+            }
+            if (cM[k] > rowMax) {
+                rowMax = cM[k];
+                rowArg = k;
+            }
+        }
+        // Strict > here and above: the end cell is the first cell, in
+        // target-major order, that beats every earlier one.
+        if (rowMax > best) {
+            best = rowMax;
+            bestJ = j;
+            bestK = rowArg;
+        }
+        std::swap(pM, cM);
+        std::swap(pI, cI);
+        std::swap(pD, cD);
     }
+    result.cells = static_cast<uint64_t>(L) * M;
     result.score = best;
     if (best <= 0)
         return result;
@@ -703,21 +720,20 @@ alignToProfile(const ProfileHmm &prof, const bio::Sequence &target,
     size_t j = bestJ, k = bestK;
     int state = 0;  // 0=M, 1=I, 2=D
     while (j > 0 && k > 0) {
-        const size_t idx = j * W + k;
+        const uint8_t b = trace[(j - 1) * M + (k - 1)];
         if (state == 0) {
             result.profileToTarget[k - 1] =
                 static_cast<int32_t>(j - 1);
-            const uint8_t bp = bM[idx];
-            if (bp == 0)
+            if ((b & 3u) == 0)
                 break;  // local alignment start
-            state = bp - 1;  // 1->M, 2->I, 3->D
+            state = (b & 3u) - 1;  // 1->M, 2->I, 3->D
             --j;
             --k;
         } else if (state == 1) {
-            state = bI[idx] == 0 ? 0 : 1;
+            state = b & kBitI ? 1 : 0;
             --j;
         } else {
-            state = bD[idx] == 0 ? 0 : 2;
+            state = b & kBitD ? 2 : 0;
             --k;
         }
     }

@@ -12,8 +12,9 @@
  *                   calc_band_9 symbol.
  *  - calcBand10   — banded Forward rescore in probability space with
  *                   per-row rescaling; the calc_band_10 symbol.
- *  - alignToProfile — banded Viterbi with traceback, used to place
- *                   accepted hits into MSA rows.
+ *  - alignToProfile — full (unbanded) local affine Viterbi with
+ *                   traceback, used to place accepted hits into MSA
+ *                   rows; one traceback byte per cell.
  *
  * All kernels do real arithmetic over real sequences; with a
  * MemTraceSink attached they additionally emit a (sampled) memory
@@ -22,7 +23,8 @@
  *
  * Two execution paths
  * -------------------
- * Each kernel has two implementations that compute the same values:
+ * Each scan kernel (all but alignToProfile, which is never traced)
+ * has two implementations that compute the same values:
  *
  *  - traced/scalar: the reference cell-by-cell loop, interleaved
  *    with per-SIMD-block trace emission. Selected whenever a
@@ -163,7 +165,14 @@ ForwardResult calcBand10(const ProfileHmm &prof,
                          const KernelConfig &cfg = {},
                          MemTraceSink *sink = nullptr);
 
-/** Banded Viterbi with traceback for MSA row construction. */
+/**
+ * Full local affine Viterbi with traceback for MSA row construction.
+ * Every one of the L*M cells is computed (cfg.band is ignored);
+ * scores use two rolling rows and the traceback one byte per cell.
+ * Ties break toward the earlier source (start, M, I, D for match;
+ * M for insert and delete) and the end cell is the first best cell
+ * in target-major order. Never traced: @p cfg is unused.
+ */
 AlignmentResult alignToProfile(const ProfileHmm &prof,
                                const bio::Sequence &target,
                                const KernelConfig &cfg = {});

@@ -42,7 +42,7 @@ runJackhmmer(const bio::Sequence &query, const SequenceDatabase &db,
         // positions take the query residue (consensus carry-over),
         // so rows stay fixed-length for the column model.
         const MsaResult msa =
-            buildMsa(query, prof, db, last, cfg.build);
+            buildMsa(query, prof, db, last, cfg.build, pool);
         std::vector<bio::Sequence> rowSeqs;
         rowSeqs.reserve(msa.rows.size());
         for (const auto &row : msa.rows) {
@@ -59,7 +59,7 @@ runJackhmmer(const bio::Sequence &query, const SequenceDatabase &db,
         prof = ProfileHmm::fromAlignment(ptrs, matrix);
     }
 
-    out.msa = buildMsa(query, prof, db, last, cfg.build);
+    out.msa = buildMsa(query, prof, db, last, cfg.build, pool);
     out.stats.cellsViterbi += out.msa.alignCells;
     // Hit re-alignment ("scoring and filtering" of candidate
     // alignments) is real DP work; low-complexity queries inflate

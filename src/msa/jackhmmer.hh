@@ -49,7 +49,8 @@ struct JackhmmerResult
 
 /**
  * Run iterative search of @p query against @p db.
- * @param pool Optional thread pool (threads from cfg.search).
+ * @param pool Optional thread pool: the scan uses cfg.search.threads
+ *        of it, hit re-alignment (buildMsa) all of it.
  * @param sinks Optional per-worker trace sinks.
  */
 JackhmmerResult runJackhmmer(

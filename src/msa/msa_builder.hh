@@ -2,10 +2,11 @@
  * @file
  * MSA assembly from accepted hits.
  *
- * Hits are re-aligned to the query profile with traceback and placed
- * into rows of an M x N alignment (M sequences including the query,
- * N = query length). The result carries the (M x N x d) feature-
- * tensor dimensions AF3 derives from the alignment.
+ * Hits are re-aligned to the query profile with traceback (in
+ * parallel when a pool is given) and placed into rows of an M x N
+ * alignment (M sequences including the query, N = query length).
+ * The result carries the (M x N x d) feature-tensor dimensions AF3
+ * derives from the alignment.
  */
 
 #ifndef AFSB_MSA_MSA_BUILDER_HH
@@ -69,11 +70,17 @@ struct MsaBuildConfig
 /**
  * Assemble the MSA for @p query from @p result's hits against @p db.
  * The query becomes row 0.
+ *
+ * @param pool Optional pool: hits are re-aligned across it, then
+ *        rows are assembled in hit order, so the result is
+ *        byte-identical at any pool size (and with none). Runs
+ *        inline when called from a pool worker or a TaskGroup task.
  */
 MsaResult buildMsa(const bio::Sequence &query, const ProfileHmm &prof,
                    const SequenceDatabase &db,
                    const SearchResult &result,
-                   const MsaBuildConfig &cfg = {});
+                   const MsaBuildConfig &cfg = {},
+                   ThreadPool *pool = nullptr);
 
 } // namespace afsb::msa
 

@@ -333,7 +333,7 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
     combined.stats.hits = combined.hits.size();
 
     out.stats = combined.stats;
-    out.msa = buildMsa(query, prof, db, combined, cfg.build);
+    out.msa = buildMsa(query, prof, db, combined, cfg.build, pool);
     out.stats.cellsViterbi += out.msa.alignCells;
     return out;
 }

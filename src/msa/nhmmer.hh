@@ -51,7 +51,8 @@ struct NhmmerResult
 
 /**
  * Run windowed nucleotide search of @p query against @p db.
- * RNA and DNA queries accepted.
+ * RNA and DNA queries accepted. @p pool is shared by the scan
+ * (cfg.search.threads of it) and the hit re-alignment (buildMsa).
  */
 NhmmerResult runNhmmer(const bio::Sequence &query,
                        const SequenceDatabase &db,

@@ -68,10 +68,9 @@ class ThreadPool
      * while each index is still processed by exactly one task.
      *
      * Dispatches through a work-stealing TaskGroup (the calling
-     * thread helps), so skewed blocks load-balance; set
-     * setChunkedStealing(false) to keep the legacy shared-queue
-     * static dispatch.  Either way the block partition — and thus
-     * the result — is identical.
+     * thread helps), so skewed blocks load-balance; the block
+     * partition, and thus the result, does not depend on which
+     * thread runs a block.
      *
      * @param grain Iterations per block; 0 picks ~4 blocks per
      *        worker. Runs inline (serially) when the range fits one
@@ -81,15 +80,6 @@ class ThreadPool
      */
     void parallelFor(size_t n, size_t grain,
                      const std::function<void(size_t, size_t)> &fn);
-
-    /**
-     * Select the chunked parallelFor engine: true (default) routes
-     * blocks through a work-stealing TaskGroup; false keeps the
-     * legacy shared-queue batch enqueue.  The traced-scan paths use
-     * parallelBlocks' static per-worker split regardless — that
-     * contract is unaffected by this knob.
-     */
-    void setChunkedStealing(bool on) { chunkedStealing_ = on; }
 
     /**
      * Run fn(worker_id, begin, end) over a static block partition of
@@ -103,7 +93,6 @@ class ThreadPool
   private:
     void workerLoop();
 
-    bool chunkedStealing_ = true;
     std::vector<std::thread> workers_;
     std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;

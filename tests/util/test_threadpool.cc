@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
@@ -210,30 +211,31 @@ TEST(ThreadPool, ChunkedDispatchFromTaskGroupTaskRunsInline)
     EXPECT_EQ(covered.load(), 4u * (64u + 6u));
 }
 
-TEST(ThreadPool, ChunkedStealingAndLegacyCoverIdentically)
+TEST(ThreadPool, ChunkedParallelForCoversBlockPartition)
 {
-    // Both engines must produce the exact same block partition; only
-    // the executing threads differ.
+    // Every block of the grain partition runs exactly once with its
+    // exact bounds, whichever runner takes it. Grain 0 picks
+    // n / (4 * workers); a grain covering the range is one block.
     ThreadPool pool(4);
-    for (bool stealing : {true, false}) {
-        pool.setChunkedStealing(stealing);
+    for (size_t grain : {size_t{7}, size_t{1}, size_t{95}, size_t{0}}) {
         std::mutex m;
         std::vector<std::pair<size_t, size_t>> blocks;
-        pool.parallelFor(95, 7, [&](size_t b, size_t e) {
+        pool.parallelFor(95, grain, [&](size_t b, size_t e) {
             std::lock_guard lock(m);
             blocks.emplace_back(b, e);
         });
+        const size_t g = grain ? grain : 95 / 16;
         std::sort(blocks.begin(), blocks.end());
-        ASSERT_EQ(blocks.size(), (95u + 6u) / 7u) << stealing;
+        ASSERT_EQ(blocks.size(), (95 + g - 1) / g) << grain;
         size_t expect = 0;
         for (auto [b, e] : blocks) {
             EXPECT_EQ(b, expect);
-            EXPECT_EQ(b % 7, 0u);
+            EXPECT_EQ(b % g, 0u);
+            EXPECT_EQ(e, std::min<size_t>(95, b + g));
             expect = e;
         }
         EXPECT_EQ(expect, 95u);
     }
-    pool.setChunkedStealing(true);
 }
 
 } // namespace
