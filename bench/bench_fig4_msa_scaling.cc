@@ -5,7 +5,7 @@
  * wall-clock scan the modeled numbers are extrapolated from, with
  * the overlapped staged pipeline on and off, so the thread sweep
  * can attribute where scaling saturates (prefilter starvation,
- * survivor-queue backpressure, or the I/O stage).
+ * survivor backpressure, or the I/O stage).
  *
  * Flags:
  *   --json <path>   write the native scan sweep as JSON (same shape

@@ -523,14 +523,14 @@ BENCHMARK(BM_Af3InferEndToEnd)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Overlapped staged database scan, queue engine vs TaskGroup engine
- * (SearchConfig::taskScan). A homopolymer-skewed query inflates the
+ * Overlapped staged database scan on the TaskGroup engine
+ * (msa/staged_scan.hh). A homopolymer-skewed query inflates the
  * survivor stage — the skew the dynamic stages exist to balance —
  * and the page cache stays warm after the first iteration, so the
  * steady state measures scheduling, not disk.
  */
 void
-runStagedScanBench(benchmark::State &state, bool taskScan)
+BM_StagedScanTaskGraph(benchmark::State &state)
 {
     const auto decoys = static_cast<size_t>(state.range(0));
     bio::SequenceGenerator gen(4242);
@@ -555,26 +555,12 @@ runStagedScanBench(benchmark::State &state, bool taskScan)
     msa::SearchConfig cfg;
     cfg.threads = kBenchPoolThreads;
     cfg.overlap = true;
-    cfg.taskScan = taskScan;
 
     for (auto _ : state) {
         const auto r =
             msa::searchDatabase(prof, db, cache, &pool, cfg);
         benchmark::DoNotOptimize(r.stats.hits);
     }
-}
-
-void
-BM_StagedScanQueue(benchmark::State &state)
-{
-    runStagedScanBench(state, false);
-}
-BENCHMARK(BM_StagedScanQueue)->Arg(300);
-
-void
-BM_StagedScanTaskGraph(benchmark::State &state)
-{
-    runStagedScanBench(state, true);
 }
 BENCHMARK(BM_StagedScanTaskGraph)->Arg(300);
 

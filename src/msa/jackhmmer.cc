@@ -23,10 +23,11 @@ runJackhmmer(const bio::Sequence &query, const SequenceDatabase &db,
         SearchConfig roundCfg = cfg.search;
         roundCfg.streamEpoch =
             cfg.search.streamEpoch + static_cast<uint32_t>(round);
-        // Pre-order this pass by the previous round's survivor set:
-        // the expensive banded rescans surface first and overlap
-        // the rest of the database stream.
-        if (cfg.carrySurvivors && !carried.empty())
+        // Pre-order this pass by the previous round's survivor set
+        // (AF_Cache-style cross-round reuse): the expensive banded
+        // rescans surface first and overlap the rest of the database
+        // stream. Never changes hits.
+        if (!carried.empty())
             roundCfg.priorityTargets = &carried;
         last = searchDatabase(prof, db, cache, pool, roundCfg,
                               now + out.stats.ioLatency, sinks);

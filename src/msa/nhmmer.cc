@@ -69,31 +69,38 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
     }
     out.windowsScanned = windows.size();
 
-    // Scan windows through the same pipeline (single-threaded over
-    // the window list per worker block).
-    const size_t workers = scanWorkers(cfg.search, pool, "nhmmer");
-    if (!sinks.empty() && sinks.size() < workers)
-        fatal("nhmmer: fewer sinks than workers");
-
+    // Window i's trace addresses and staged byte range are its
+    // proportional slice of the database file.
     constexpr uint64_t kStreamBase = 0x6800'0000'0000ull;
+    const uint64_t dbBytes = db.info().scaledBytes;
+    const size_t nWin = windows.size();
     const double bytesPerWindow =
-        windows.empty()
-            ? 0.0
-            : static_cast<double>(db.info().scaledBytes) /
-                  static_cast<double>(windows.size());
-
-    auto scan = [&](MemTraceSink *sink, SearchStats &stats,
-                    std::vector<Hit> &hitsOut, size_t begin,
-                    size_t end) {
+        nWin == 0 ? 0.0
+                  : static_cast<double>(dbBytes) /
+                        static_cast<double>(nWin);
+    auto fileOff = [&](size_t k) {
+        return dbBytes * static_cast<uint64_t>(k) /
+               static_cast<uint64_t>(nWin);
+    };
+    auto kernelFor = [&](size_t i) {
         KernelConfig kernel = cfg.search.kernel;
-        for (size_t i = begin; i < end; ++i) {
+        kernel.targetBase =
+            kStreamBase + static_cast<uint64_t>(
+                              static_cast<double>(i) * bytesPerWindow);
+        return kernel;
+    };
+
+    const staged::ScanPlan plan = staged::planScan(
+        cfg.search, db, pool, nWin, true, sinks, "nhmmer");
+    SearchResult combined = staged::runScan(
+        plan, cache, now,
+        [&](size_t b, size_t e) {
+            return SequenceDatabase::ByteExtent{
+                fileOff(b), fileOff(e) - fileOff(b)};
+        },
+        [&](SearchResult &mine, MemTraceSink *sink, size_t i) {
             const bio::Sequence &target = windows[i];
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            ++stats.targetsScanned;
-            stats.residuesScanned += target.length();
+            const KernelConfig kernel = kernelFor(i);
             if (sink) {
                 // Reader-thread parse work for this window.
                 const uint64_t bytes = target.length();
@@ -111,203 +118,22 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
                     sink->access({kernel.targetBase + off, 64, true,
                                   wellknown::copyToIter()});
             }
-            const auto msv = msvFilter(prof, target, kernel, sink);
-            stats.cellsMsv += msv.cells;
-            const int threshold =
-                msvThreshold(prof, target.length(), cfg.search);
-            if (msv.score < threshold)
-                continue;
-            ++stats.msvPassed;
-            const auto vit = calcBand9(prof, target, kernel, sink);
-            stats.cellsViterbi += vit.cells;
-            const auto fwd = calcBand10(prof, target, kernel, sink);
-            stats.cellsForward += fwd.cells;
-            if (vit.score < threshold + cfg.search.viterbiMargin)
-                continue;
-            ++stats.viterbiPassed;
-            ++stats.domainsScored;
-            if (sink)
-                sink->instructions(
-                    wellknown::calcBand10(),
-                    16ull * target.length() * prof.length());
-            if (fwd.logOdds < cfg.search.forwardThreshold)
-                continue;
-            ++stats.hits;
-            hitsOut.push_back(
-                {windowSource[i], vit.score, fwd.logOdds});
-        }
-    };
+            return staged::prefilterTarget(prof, target, kernel,
+                                           cfg.search, sink,
+                                           mine.stats);
+        },
+        [&](SearchResult &mine, MemTraceSink *sink, size_t i) {
+            staged::rescoreTarget(prof, windows[i], kernelFor(i),
+                                  cfg.search, sink, windowSource[i],
+                                  mine);
+        });
 
-    SearchResult combined;
-    const bool overlapped =
-        sinks.empty() && cfg.search.overlap && workers >= 2 &&
-        pool && !ThreadPool::inWorker() && db.vfs() &&
-        !windows.empty();
-
-    std::vector<SearchStats> partial;
-    std::vector<std::vector<Hit>> partialHits;
-    if (overlapped) {
-        // Staged overlapped scan over the window list: the producer
-        // streams the database file (window-proportional byte
-        // ranges, sequential in window order) while prefilter
-        // workers fan out over window chunks and survivor workers
-        // drain the banded rescoring dynamically — the same
-        // pipeline searchDatabase uses, so nhmmer's RNA windows get
-        // the identical skew/overlap treatment.
-        const uint64_t dbBytes = db.info().scaledBytes;
-        const size_t nWin = windows.size();
-        auto fileOff = [&](size_t k) {
-            return dbBytes * static_cast<uint64_t>(k) /
-                   static_cast<uint64_t>(nWin);
-        };
-
-        staged::ScanShape shape;
-        shape.workers = workers;
-        shape.targets = nWin;
-        shape.grain = scanGrain(nWin, workers);
-        shape.prefetchChunks = cfg.search.prefetchChunks;
-        shape.survivorDepth = cfg.search.survivorQueueDepth;
-
-        io::BufferedReader reader(db.vfs(), &cache, db.fileId());
-        std::vector<std::vector<char>> slabs(
-            std::max<size_t>(2, cfg.search.prefetchChunks));
-        const size_t grain = shape.grain;
-        uint64_t maxChunkBytes = 1;
-        for (size_t b = 0; b < nWin; b += grain)
-            maxChunkBytes = std::max(
-                maxChunkBytes,
-                fileOff(std::min(nWin, b + grain)) - fileOff(b));
-        for (auto &s : slabs)
-            s.resize(maxChunkBytes);
-
-        auto stream = [&](size_t chunk, size_t b, size_t e) {
-            const uint64_t off = fileOff(b);
-            const uint64_t len = fileOff(e) - off;
-            if (len == 0)
-                return;
-            reader.seek(off);
-            reader.copyToIter(slabs[chunk % slabs.size()].data(),
-                              static_cast<size_t>(len),
-                              now + reader.stats().ioLatency);
-        };
-
-        partial.resize(workers);
-        partialHits.resize(workers);
-        auto prefilter = [&](size_t w, size_t i) {
-            SearchStats &stats = partial[w];
-            const bio::Sequence &target = windows[i];
-            KernelConfig kernel = cfg.search.kernel;
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            ++stats.targetsScanned;
-            stats.residuesScanned += target.length();
-            const auto msv =
-                msvFilter(prof, target, kernel, nullptr);
-            stats.cellsMsv += msv.cells;
-            if (msv.score <
-                msvThreshold(prof, target.length(), cfg.search))
-                return false;
-            ++stats.msvPassed;
-            return true;
-        };
-        auto rescore = [&](size_t w, size_t i) {
-            SearchStats &stats = partial[w];
-            const bio::Sequence &target = windows[i];
-            KernelConfig kernel = cfg.search.kernel;
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            const int threshold =
-                msvThreshold(prof, target.length(), cfg.search);
-            const auto vit =
-                calcBand9(prof, target, kernel, nullptr);
-            stats.cellsViterbi += vit.cells;
-            const auto fwd =
-                calcBand10(prof, target, kernel, nullptr);
-            stats.cellsForward += fwd.cells;
-            if (vit.score < threshold + cfg.search.viterbiMargin)
-                return;
-            ++stats.viterbiPassed;
-            ++stats.domainsScored;
-            if (fwd.logOdds < cfg.search.forwardThreshold)
-                return;
-            ++stats.hits;
-            partialHits[w].push_back(
-                {windowSource[i], vit.score, fwd.logOdds});
-        };
-
-        if (cfg.search.taskScan)
-            staged::runStagedScanTasks(*pool, shape, stream,
-                                       prefilter, rescore,
-                                       combined.stats.stages);
-        else
-            staged::runStagedScan(*pool, shape, stream, prefilter,
-                                  rescore, combined.stats.stages);
-
-        // The producer streamed the whole file; account it the same
-        // way the static path's single sequential read does.
-        combined.stats.bytesStreamed += dbBytes;
-        combined.stats.bytesFromDisk +=
-            reader.stats().bytesFromDisk;
-        combined.stats.ioLatency += reader.stats().ioLatency;
-        combined.stats.stages.reader.merge(reader.stats());
-    } else if (workers <= 1 || !pool) {
-        partial.resize(1);
-        partialHits.resize(1);
-        scan(sinks.empty() ? nullptr : sinks[0], partial[0],
-             partialHits[0], 0, windows.size());
-    } else if (sinks.empty()) {
-        // Untraced static fallback (overlap off or nested): blocks
-        // finer than the worker count and let the pool balance;
-        // block-order merge keeps results deterministic.
-        const size_t grain = scanGrain(windows.size(), workers);
-        const size_t blocks =
-            (windows.size() + grain - 1) / grain;
-        partial.resize(blocks);
-        partialHits.resize(blocks);
-        pool->parallelFor(
-            windows.size(), grain, [&](size_t b, size_t e) {
-                scan(nullptr, partial[b / grain],
-                     partialHits[b / grain], b, e);
-            });
-    } else {
-        // Traced: keep the per-worker equal split — the worker ->
-        // sink mapping is part of the trace contract.
-        partial.resize(workers);
-        partialHits.resize(workers);
-        const size_t chunk =
-            (windows.size() + workers - 1) / workers;
-        pool->parallelBlocks(workers,
-                             [&](size_t, size_t wb, size_t we) {
-                                 for (size_t w = wb; w < we; ++w) {
-                                     const size_t b = w * chunk;
-                                     const size_t e = std::min(
-                                         windows.size(), b + chunk);
-                                     if (b < e)
-                                         scan(sinks[w], partial[w],
-                                              partialHits[w], b, e);
-                                 }
-                             });
-    }
-
-    for (size_t w = 0; w < partial.size(); ++w) {
-        combined.stats.merge(partial[w]);
-        combined.hits.insert(combined.hits.end(),
-                             partialHits[w].begin(),
-                             partialHits[w].end());
-    }
-
-    if (!overlapped) {
+    if (!plan.streams()) {
         // Stream the database bytes once (nhmmer reads the file
-        // sequentially regardless of window results); the
-        // overlapped path already streamed them in its I/O stage.
-        const io::FileId fid = db.fileId();
-        const uint64_t dbBytes = db.info().scaledBytes;
+        // sequentially regardless of window results); the staged
+        // engine already streamed them.
         const auto io = cache.read(
-            fid, 0, std::max<uint64_t>(1, dbBytes), now);
+            db.fileId(), 0, std::max<uint64_t>(1, dbBytes), now);
         combined.stats.bytesStreamed += dbBytes;
         combined.stats.bytesFromDisk += io.bytesFromDisk;
         combined.stats.ioLatency += io.latency;

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "msa/staged_scan.hh"
-#include "util/grain.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -23,7 +22,6 @@ ScanStageStats::merge(const ScanStageStats &other)
         std::max(survivorQueuePeak, other.survivorQueuePeak);
     producerWaits += other.producerWaits;
     chunkWaits += other.chunkWaits;
-    survivorWaits += other.survivorWaits;
     ioSeconds += other.ioSeconds;
     msvSeconds += other.msvSeconds;
     bandSeconds += other.bandSeconds;
@@ -50,27 +48,6 @@ SearchStats::merge(const SearchStats &other)
     stages.merge(other.stages);
 }
 
-size_t
-scanWorkers(const SearchConfig &cfg, const ThreadPool *pool,
-            const char *who)
-{
-    if (!pool)
-        return 1;
-    if (cfg.threads > pool->size())
-        warn(strformat("%s: threads=%zu exceeds pool size %zu; "
-                       "clamping to %zu",
-                       who, cfg.threads, pool->size(),
-                       pool->size()));
-    return std::max<size_t>(1,
-                            std::min(cfg.threads, pool->size()));
-}
-
-size_t
-scanGrain(size_t n, size_t workers)
-{
-    return grain::forScan(n, workers);
-}
-
 int
 msvThreshold(const ProfileHmm &prof, size_t target_len,
              const SearchConfig &cfg)
@@ -95,362 +72,22 @@ namespace {
  * re-reading a paper-scale database behaves.
  */
 uint64_t
-streamEpochBase(const SequenceDatabase &db, const SearchConfig &cfg)
+streamEpochBase(uint64_t scaled_bytes, const SearchConfig &cfg)
 {
     constexpr uint64_t kStreamBase = 0x6000'0000'0000ull;
-    return kStreamBase +
-           static_cast<uint64_t>(cfg.streamEpoch) *
-               (db.info().scaledBytes + (1ull << 20));
+    return kStreamBase + static_cast<uint64_t>(cfg.streamEpoch) *
+                             (scaled_bytes + (1ull << 20));
 }
 
 /**
- * The filter cascade proper for one parsed target: MSV prefilter,
- * banded Viterbi/Forward on survivors, domain accounting. Shared by
- * the static range scan, the delta re-search, and the streaming
- * scan so every path applies bit-identical thresholds.
+ * Canonical result order regardless of which engine (and which
+ * worker interleaving) produced it: hits by descending Forward score
+ * with the target index as a total-order tie break, survivors
+ * ascending.
  */
 void
-pipelineTarget(const ProfileHmm &prof, const bio::Sequence &target,
-               const KernelConfig &kernel, const SearchConfig &cfg,
-               size_t i, MemTraceSink *sink, SearchResult &out)
+canonicalize(SearchResult &result)
 {
-    ++out.stats.targetsScanned;
-    out.stats.residuesScanned += target.length();
-
-    const auto msv = msvFilter(prof, target, kernel, sink);
-    out.stats.cellsMsv += msv.cells;
-    const int threshold = msvThreshold(prof, target.length(), cfg);
-    if (msv.score < threshold)
-        return;
-    ++out.stats.msvPassed;
-    out.msvSurvivors.push_back(static_cast<uint32_t>(i));
-
-    // MSV survivors run both banded kernels (HMMER rescored
-    // every survivor with Forward before domain definition).
-    const auto vit = calcBand9(prof, target, kernel, sink);
-    out.stats.cellsViterbi += vit.cells;
-    const auto fwd = calcBand10(prof, target, kernel, sink);
-    out.stats.cellsForward += fwd.cells;
-    if (vit.score < threshold + cfg.viterbiMargin)
-        return;
-    ++out.stats.viterbiPassed;
-
-    // Every surviving candidate goes through domain definition
-    // and null2 rescoring — full-width DP over the envelope.
-    // This is where low-complexity queries burn their time: the
-    // "ambiguous or partial alignments that still must be
-    // scored and filtered" (paper Observation 2).
-    ++out.stats.domainsScored;
-    if (sink)
-        sink->instructions(
-            wellknown::calcBand10(),
-            16ull * target.length() * prof.length());
-
-    if (fwd.logOdds < cfg.forwardThreshold)
-        return;
-
-    ++out.stats.hits;
-    out.hits.push_back({i, vit.score, fwd.logOdds});
-}
-
-/**
- * Run one target through the full filter cascade: page-cache
- * streaming, MSV prefilter, banded Viterbi/Forward on survivors.
- * Shared by the static range scan and the delta re-search so both
- * apply bit-identical thresholds and accounting.
- */
-void
-scanTarget(const ProfileHmm &prof, const SequenceDatabase &db,
-           io::PageCache &cache, std::mutex &cache_mutex,
-           const SearchConfig &cfg, uint64_t epoch_base, double now,
-           size_t i, MemTraceSink *sink, SearchResult &out)
-{
-    const bio::Sequence &target = db.sequences()[i];
-    const auto extent = db.byteExtent(i);
-    KernelConfig kernel = cfg.kernel;
-    kernel.targetBase = epoch_base + extent.offset;
-
-    // Stream the target's bytes through the page-cache model;
-    // the cache is shared state, so guard it. (Real HMMER also
-    // funnels reads through one esl_buffer.)
-    {
-        std::lock_guard lock(cache_mutex);
-        const auto io =
-            cache.read(db.fileId(), extent.offset, extent.length,
-                       now + out.stats.ioLatency);
-        out.stats.bytesStreamed += extent.length;
-        out.stats.bytesFromDisk += io.bytesFromDisk;
-        out.stats.ioLatency += io.latency;
-    }
-
-    // Reader-thread work: the master thread parses and buffers
-    // this target before any worker can align it. Instruction
-    // densities per input byte are HMMER-calibrated (Table IV
-    // puts addbuf+seebuf at ~23% of MSA cycles); copy_to_iter
-    // first-touches the target's stream lines, which is where
-    // its cache misses come from.
-    if (sink) {
-        const uint64_t bytes = extent.length;
-        sink->instructions(wellknown::addbuf(), bytes * 24);
-        sink->instructions(wellknown::seebuf(), bytes * 9);
-        sink->instructions(wellknown::copyToIter(), bytes * 8);
-        sink->branches(wellknown::addbuf(), bytes / 4, 0);
-        // Per-target header allocation from the recycled
-        // malloc pool (hot after warm-up).
-        sink->access({0x7f70'0000'0000ull +
-                          kernel.targetBase % (4ull << 20),
-                      64, true, wellknown::addbuf()});
-        const uint64_t step =
-            64ull * cfg.kernel.traceStride;
-        for (uint64_t off = 0; off < bytes; off += step) {
-            sink->access({kernel.targetBase + off, 64, true,
-                          wellknown::copyToIter()});
-            // Cyclic parse buffer touches (addbuf/seebuf).
-            constexpr uint64_t kParseBuf = 0x7f40'0000'0000ull;
-            sink->access({kParseBuf + off % (256 * 1024), 64,
-                          false, wellknown::addbuf()});
-            if (off % (2 * step) == 0)
-                sink->access({kParseBuf + off % (256 * 1024),
-                              32, false, wellknown::seebuf()});
-        }
-    }
-
-    pipelineTarget(prof, target, kernel, cfg, i, sink, out);
-}
-
-/** Per-worker scan over an index range. */
-void
-scanRange(const ProfileHmm &prof, const SequenceDatabase &db,
-          io::PageCache &cache, std::mutex &cache_mutex,
-          const SearchConfig &cfg, double now, size_t begin,
-          size_t end, MemTraceSink *sink, SearchResult &out)
-{
-    const uint64_t epochBase = streamEpochBase(db, cfg);
-    for (size_t i = begin; i < end; ++i)
-        scanTarget(prof, db, cache, cache_mutex, cfg, epochBase, now,
-                   i, sink, out);
-}
-
-/**
- * Staged overlapped scan (see staged_scan.hh): one producer streams
- * target chunks through a BufferedReader into rotating slabs while
- * the remaining workers prefilter chunks and dynamically drain
- * prefilter survivors. Kernel calls and thresholds are identical to
- * scanRange's, so the hit set is bit-identical to the static path.
- */
-void
-scanOverlapped(const ProfileHmm &prof, const SequenceDatabase &db,
-               io::PageCache &cache, ThreadPool &pool,
-               const SearchConfig &cfg, double now, size_t workers,
-               SearchResult &result)
-{
-    const auto &targets = db.sequences();
-    const size_t n = db.size();
-
-    staged::ScanShape shape;
-    shape.workers = workers;
-    shape.targets = n;
-    shape.grain = scanGrain(n, workers);
-    shape.prefetchChunks = cfg.prefetchChunks;
-    shape.survivorDepth = cfg.survivorQueueDepth;
-    shape.priority = cfg.priorityTargets;
-
-    // Same per-epoch virtual stream window as scanRange (the
-    // kernels only consult it for trace addresses, but keeping the
-    // configs identical makes path equivalence unconditional).
-    const uint64_t epochBase = streamEpochBase(db, cfg);
-
-    // Stage 1 state: one sequential reader plus rotating staging
-    // slabs sized for the largest chunk. The slab copy is the
-    // copy_to_iter byte movement the parse stage performs in HMMER;
-    // the chunk-queue bound keeps at most `prefetchChunks` slabs in
-    // flight, which is what makes this double buffering rather than
-    // unbounded readahead.
-    io::BufferedReader reader(db.vfs(), &cache, db.fileId());
-    const size_t grain = shape.grain;
-    uint64_t maxChunkBytes = 1;
-    for (size_t b = 0; b < n; b += grain) {
-        const size_t e = std::min(n, b + grain);
-        const auto first = db.byteExtent(b);
-        const auto last = db.byteExtent(e - 1);
-        maxChunkBytes = std::max(
-            maxChunkBytes, last.offset + last.length - first.offset);
-    }
-    std::vector<std::vector<char>> slabs(
-        std::max<size_t>(2, cfg.prefetchChunks));
-    for (auto &s : slabs)
-        s.resize(maxChunkBytes);
-
-    SearchStats ioStats;
-    auto stream = [&](size_t chunk, size_t begin, size_t end) {
-        const auto first = db.byteExtent(begin);
-        const auto last = db.byteExtent(end - 1);
-        const uint64_t len =
-            last.offset + last.length - first.offset;
-        reader.seek(first.offset);
-        auto &slab = slabs[chunk % slabs.size()];
-        reader.copyToIter(slab.data(), static_cast<size_t>(len),
-                          now + reader.stats().ioLatency);
-        ioStats.bytesStreamed += len;
-    };
-
-    std::vector<SearchResult> partial(workers);
-    auto prefilter = [&](size_t w, size_t i) {
-        SearchResult &mine = partial[w];
-        const bio::Sequence &target = targets[i];
-        KernelConfig kernel = cfg.kernel;
-        kernel.targetBase = epochBase + db.byteExtent(i).offset;
-
-        ++mine.stats.targetsScanned;
-        mine.stats.residuesScanned += target.length();
-        const auto msv = msvFilter(prof, target, kernel, nullptr);
-        mine.stats.cellsMsv += msv.cells;
-        if (msv.score < msvThreshold(prof, target.length(), cfg))
-            return false;
-        ++mine.stats.msvPassed;
-        mine.msvSurvivors.push_back(static_cast<uint32_t>(i));
-        return true;
-    };
-
-    auto rescore = [&](size_t w, size_t i) {
-        SearchResult &mine = partial[w];
-        const bio::Sequence &target = targets[i];
-        KernelConfig kernel = cfg.kernel;
-        kernel.targetBase = epochBase + db.byteExtent(i).offset;
-        const int threshold =
-            msvThreshold(prof, target.length(), cfg);
-
-        const auto vit = calcBand9(prof, target, kernel, nullptr);
-        mine.stats.cellsViterbi += vit.cells;
-        const auto fwd = calcBand10(prof, target, kernel, nullptr);
-        mine.stats.cellsForward += fwd.cells;
-        if (vit.score < threshold + cfg.viterbiMargin)
-            return;
-        ++mine.stats.viterbiPassed;
-        ++mine.stats.domainsScored;
-        if (fwd.logOdds < cfg.forwardThreshold)
-            return;
-        ++mine.stats.hits;
-        mine.hits.push_back({i, vit.score, fwd.logOdds});
-    };
-
-    if (cfg.taskScan)
-        staged::runStagedScanTasks(pool, shape, stream, prefilter,
-                                   rescore, result.stats.stages);
-    else
-        staged::runStagedScan(pool, shape, stream, prefilter,
-                              rescore, result.stats.stages);
-
-    // Counter merges are commutative, and hit/survivor ordering is
-    // canonicalized by the caller, so worker-order concatenation is
-    // deterministic at any thread count.
-    for (auto &p : partial) {
-        result.stats.merge(p.stats);
-        result.hits.insert(result.hits.end(), p.hits.begin(),
-                           p.hits.end());
-        result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                   p.msvSurvivors.begin(),
-                                   p.msvSurvivors.end());
-    }
-    result.stats.bytesStreamed += ioStats.bytesStreamed;
-    result.stats.bytesFromDisk += reader.stats().bytesFromDisk;
-    result.stats.ioLatency += reader.stats().ioLatency;
-    result.stats.stages.reader.merge(reader.stats());
-}
-
-} // namespace
-
-SearchResult
-searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
-               io::PageCache &cache, ThreadPool *pool,
-               const SearchConfig &cfg, double now,
-               const std::vector<MemTraceSink *> &sinks)
-{
-    const size_t n = db.size();
-    const size_t workers = scanWorkers(cfg, pool, "searchDatabase");
-    if (!sinks.empty() && sinks.size() < workers)
-        fatal("searchDatabase: fewer sinks than workers");
-
-    SearchResult result;
-    // Shard subrange [b, e): the default config covers the whole
-    // database and changes nothing; a shard's slice disables the
-    // overlapped path (its chunk schedule is a whole-file
-    // contract) and partitions only its own targets.
-    const size_t b = std::min(cfg.targetBegin, n);
-    const size_t e = std::min(cfg.targetEnd, n);
-    if (b >= e)
-        return result;
-    const size_t count = e - b;
-    const bool fullRange = b == 0 && e == n;
-
-    std::mutex cacheMutex;
-    if (workers <= 1 || !pool) {
-        scanRange(prof, db, cache, cacheMutex, cfg, now, b, e,
-                  sinks.empty() ? nullptr : sinks[0], result);
-    } else if (fullRange && sinks.empty() && cfg.overlap &&
-               db.vfs() && !ThreadPool::inWorker()) {
-        // Untraced overlapped scan: staged producer/consumer
-        // pipeline with dynamic survivor scheduling. Falls through
-        // to the static partition when the scan is nested inside a
-        // pool worker (bounded queues + nested dispatch would
-        // deadlock) or the database carries no file store.
-        scanOverlapped(prof, db, cache, *pool, cfg, now, workers,
-                       result);
-    } else if (sinks.empty()) {
-        // Untraced wall-clock scan: targets cost wildly different
-        // amounts (MSV survivors run two more kernels), so carve the
-        // range into blocks much finer than the worker count and let
-        // the pool balance them. Partials are merged in block order,
-        // so results are deterministic for a given worker count.
-        const size_t grain = scanGrain(count, workers);
-        const size_t blocks = (count + grain - 1) / grain;
-        std::vector<SearchResult> partial(blocks);
-        pool->parallelFor(count, grain,
-                          [&](size_t begin, size_t end) {
-                              scanRange(prof, db, cache, cacheMutex,
-                                        cfg, now, b + begin, b + end,
-                                        nullptr,
-                                        partial[begin / grain]);
-                          });
-        for (auto &p : partial) {
-            result.stats.merge(p.stats);
-            result.hits.insert(result.hits.end(), p.hits.begin(),
-                               p.hits.end());
-            result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                       p.msvSurvivors.begin(),
-                                       p.msvSurvivors.end());
-        }
-    } else {
-        // Traced scan: the worker -> sink -> target partition is
-        // part of the simulated trace contract; keep the original
-        // equal-count split so the streams stay byte-identical.
-        std::vector<SearchResult> partial(workers);
-        const size_t chunk = (count + workers - 1) / workers;
-        pool->parallelBlocks(
-            workers, [&](size_t, size_t wb, size_t we) {
-                for (size_t w = wb; w < we; ++w) {
-                    const size_t begin = b + w * chunk;
-                    const size_t end = std::min(e, begin + chunk);
-                    if (begin >= end)
-                        continue;
-                    scanRange(prof, db, cache, cacheMutex, cfg, now,
-                              begin, end, sinks[w], partial[w]);
-                }
-            });
-        for (auto &p : partial) {
-            result.stats.merge(p.stats);
-            result.hits.insert(result.hits.end(), p.hits.begin(),
-                               p.hits.end());
-            result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                       p.msvSurvivors.begin(),
-                                       p.msvSurvivors.end());
-        }
-    }
-
-    // Canonical ordering regardless of which path (and which worker
-    // interleaving) produced the results: hits by descending Forward
-    // score with the target index as a total-order tie break,
-    // survivors ascending.
     std::sort(result.hits.begin(), result.hits.end(),
               [](const Hit &a, const Hit &b) {
                   if (a.forwardLogOdds != b.forwardLogOdds)
@@ -459,6 +96,224 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
               });
     std::sort(result.msvSurvivors.begin(),
               result.msvSurvivors.end());
+}
+
+/** MSV then banded rescoring of one parsed target (no I/O). */
+void
+pipelineTarget(const ProfileHmm &prof, const bio::Sequence &target,
+               const KernelConfig &kernel, const SearchConfig &cfg,
+               size_t i, MemTraceSink *sink, SearchResult &out)
+{
+    if (!staged::prefilterTarget(prof, target, kernel, cfg, sink,
+                                 out.stats))
+        return;
+    out.msvSurvivors.push_back(static_cast<uint32_t>(i));
+    staged::rescoreTarget(prof, target, kernel, cfg, sink, i, out);
+}
+
+/**
+ * Stream target @p i's bytes through the page-cache model, charged
+ * to @p out. The cache is shared state, so guard it. (Real HMMER
+ * also funnels reads through one esl_buffer.)
+ */
+void
+readTarget(const SequenceDatabase &db, io::PageCache &cache,
+           std::mutex &cache_mutex, double now, size_t i,
+           SearchResult &out)
+{
+    const auto extent = db.byteExtent(i);
+    std::lock_guard lock(cache_mutex);
+    const auto io = cache.read(db.fileId(), extent.offset,
+                               extent.length,
+                               now + out.stats.ioLatency);
+    out.stats.bytesStreamed += extent.length;
+    out.stats.bytesFromDisk += io.bytesFromDisk;
+    out.stats.ioLatency += io.latency;
+}
+
+/**
+ * Reader-thread work: the master thread parses and buffers the
+ * target before any worker can align it. Instruction densities per
+ * input byte are HMMER-calibrated (Table IV puts addbuf+seebuf at
+ * ~23% of MSA cycles); copy_to_iter first-touches the target's
+ * stream lines, which is where its cache misses come from.
+ */
+void
+traceParse(MemTraceSink &sink, uint64_t bytes, uint64_t target_base,
+           const SearchConfig &cfg)
+{
+    sink.instructions(wellknown::addbuf(), bytes * 24);
+    sink.instructions(wellknown::seebuf(), bytes * 9);
+    sink.instructions(wellknown::copyToIter(), bytes * 8);
+    sink.branches(wellknown::addbuf(), bytes / 4, 0);
+    // Per-target header allocation from the recycled malloc pool
+    // (hot after warm-up).
+    sink.access({0x7f70'0000'0000ull + target_base % (4ull << 20), 64,
+                 true, wellknown::addbuf()});
+    const uint64_t step = 64ull * cfg.kernel.traceStride;
+    for (uint64_t off = 0; off < bytes; off += step) {
+        sink.access({target_base + off, 64, true,
+                     wellknown::copyToIter()});
+        // Cyclic parse buffer touches (addbuf/seebuf).
+        constexpr uint64_t kParseBuf = 0x7f40'0000'0000ull;
+        sink.access({kParseBuf + off % (256 * 1024), 64, false,
+                     wellknown::addbuf()});
+        if (off % (2 * step) == 0)
+            sink.access({kParseBuf + off % (256 * 1024), 32, false,
+                         wellknown::seebuf()});
+    }
+}
+
+} // namespace
+
+namespace staged {
+
+ScanPlan
+planScan(const SearchConfig &cfg, const SequenceDatabase &db,
+         ThreadPool *pool, size_t targets, bool whole_file,
+         const std::vector<MemTraceSink *> &sinks, const char *who)
+{
+    ScanPlan plan;
+    plan.pool = pool;
+    if (pool) {
+        // Never more workers than the pool has; say so rather than
+        // clamping silently.
+        if (cfg.threads > pool->size())
+            warn(strformat("%s: threads=%zu exceeds pool size %zu; "
+                           "clamping to %zu",
+                           who, cfg.threads, pool->size(),
+                           pool->size()));
+        plan.workers = std::max<size_t>(
+            1, std::min(cfg.threads, pool->size()));
+    }
+    plan.targets = targets;
+    plan.db = &db;
+    plan.sinks = &sinks;
+    if (!sinks.empty() && sinks.size() < plan.workers)
+        fatal(strformat("%s: fewer sinks than workers", who));
+
+    using Engine = ScanPlan::Engine;
+    if (plan.workers <= 1 || !pool)
+        plan.engine = Engine::Serial;
+    else if (!sinks.empty())
+        plan.engine = Engine::Traced;
+    // A scan nested inside a pool worker would run its task group
+    // inline on that one thread. It keeps the block path, so nested
+    // scans' stage counters and I/O accounting stay as they are.
+    else if (cfg.overlap && whole_file && targets > 0 && db.vfs() &&
+             !ThreadPool::inWorker())
+        plan.engine = Engine::Staged;
+    else
+        plan.engine = Engine::Blocks;
+    return plan;
+}
+
+bool
+prefilterTarget(const ProfileHmm &prof, const bio::Sequence &target,
+                const KernelConfig &kernel, const SearchConfig &cfg,
+                MemTraceSink *sink, SearchStats &stats)
+{
+    ++stats.targetsScanned;
+    stats.residuesScanned += target.length();
+    const auto msv = msvFilter(prof, target, kernel, sink);
+    stats.cellsMsv += msv.cells;
+    if (msv.score < msvThreshold(prof, target.length(), cfg))
+        return false;
+    ++stats.msvPassed;
+    return true;
+}
+
+void
+rescoreTarget(const ProfileHmm &prof, const bio::Sequence &target,
+              const KernelConfig &kernel, const SearchConfig &cfg,
+              MemTraceSink *sink, size_t hit_index, SearchResult &out)
+{
+    // MSV survivors run both banded kernels (HMMER rescored every
+    // survivor with Forward before domain definition).
+    const int threshold = msvThreshold(prof, target.length(), cfg);
+    const auto vit = calcBand9(prof, target, kernel, sink);
+    out.stats.cellsViterbi += vit.cells;
+    const auto fwd = calcBand10(prof, target, kernel, sink);
+    out.stats.cellsForward += fwd.cells;
+    if (vit.score < threshold + cfg.viterbiMargin)
+        return;
+    ++out.stats.viterbiPassed;
+
+    // Every surviving candidate goes through domain definition and
+    // null2 rescoring — full-width DP over the envelope. This is
+    // where low-complexity queries burn their time: the "ambiguous
+    // or partial alignments that still must be scored and filtered"
+    // (paper Observation 2).
+    ++out.stats.domainsScored;
+    if (sink)
+        sink->instructions(wellknown::calcBand10(),
+                           16ull * target.length() * prof.length());
+
+    if (fwd.logOdds < cfg.forwardThreshold)
+        return;
+    ++out.stats.hits;
+    out.hits.push_back({hit_index, vit.score, fwd.logOdds});
+}
+
+} // namespace staged
+
+SearchResult
+searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
+               io::PageCache &cache, ThreadPool *pool,
+               const SearchConfig &cfg, double now,
+               const std::vector<MemTraceSink *> &sinks)
+{
+    // Shard subrange [b, e): the default config covers the whole
+    // database; a shard's slice scans only its own targets and never
+    // streams (the staged chunk schedule is a whole-file contract).
+    const size_t n = db.size();
+    const size_t b = std::min(cfg.targetBegin, n);
+    const size_t e = std::max(b, std::min(cfg.targetEnd, n));
+    staged::ScanPlan plan =
+        staged::planScan(cfg, db, pool, e - b, b == 0 && e == n,
+                         sinks, "searchDatabase");
+    plan.priority = cfg.priorityTargets;
+    if (b == e)
+        return {};
+
+    const uint64_t epochBase =
+        streamEpochBase(db.info().scaledBytes, cfg);
+    std::mutex cacheMutex;
+    auto kernelFor = [&](size_t i) {
+        KernelConfig kernel = cfg.kernel;
+        kernel.targetBase = epochBase + db.byteExtent(i).offset;
+        return kernel;
+    };
+
+    SearchResult result = staged::runScan(
+        plan, cache, now,
+        [&](size_t first, size_t last) {
+            const auto from = db.byteExtent(b + first);
+            const auto to = db.byteExtent(b + last - 1);
+            return SequenceDatabase::ByteExtent{
+                from.offset, to.offset + to.length - from.offset};
+        },
+        [&](SearchResult &mine, MemTraceSink *sink, size_t k) {
+            const size_t i = b + k;
+            const KernelConfig kernel = kernelFor(i);
+            if (!plan.streams())
+                readTarget(db, cache, cacheMutex, now, i, mine);
+            if (sink)
+                traceParse(*sink, db.byteExtent(i).length,
+                           kernel.targetBase, cfg);
+            if (!staged::prefilterTarget(prof, db.sequences()[i],
+                                         kernel, cfg, sink,
+                                         mine.stats))
+                return false;
+            mine.msvSurvivors.push_back(static_cast<uint32_t>(i));
+            return true;
+        },
+        [&](SearchResult &mine, MemTraceSink *sink, size_t k) {
+            const size_t i = b + k;
+            staged::rescoreTarget(prof, db.sequences()[i],
+                                  kernelFor(i), cfg, sink, i, mine);
+        });
+    canonicalize(result);
     return result;
 }
 
@@ -470,7 +325,8 @@ deltaSearch(const ProfileHmm &prof, const SequenceDatabase &db,
 {
     DeltaSearchResult delta;
     const size_t n = db.size();
-    const uint64_t epochBase = streamEpochBase(db, cfg);
+    const uint64_t epochBase =
+        streamEpochBase(db.info().scaledBytes, cfg);
     std::mutex cacheMutex;
 
     // The survivor set is a small fraction of the database (the MSV
@@ -481,8 +337,11 @@ deltaSearch(const ProfileHmm &prof, const SequenceDatabase &db,
         if (idx >= n)
             continue; // stale survivor beyond this database's range
         ++delta.survivorsRescored;
-        scanTarget(prof, db, cache, cacheMutex, cfg, epochBase, now,
-                   idx, nullptr, delta.result);
+        readTarget(db, cache, cacheMutex, now, idx, delta.result);
+        KernelConfig kernel = cfg.kernel;
+        kernel.targetBase = epochBase + db.byteExtent(idx).offset;
+        pipelineTarget(prof, db.sequences()[idx], kernel, cfg, idx,
+                       nullptr, delta.result);
     }
     delta.survivorsRetained = delta.result.stats.msvPassed;
 
@@ -492,15 +351,7 @@ deltaSearch(const ProfileHmm &prof, const SequenceDatabase &db,
     // caller fall back to the full sharded scan.
     delta.accepted = delta.survivorsRescored > 0 &&
                      delta.retention() >= min_retention;
-
-    std::sort(delta.result.hits.begin(), delta.result.hits.end(),
-              [](const Hit &a, const Hit &b) {
-                  if (a.forwardLogOdds != b.forwardLogOdds)
-                      return a.forwardLogOdds > b.forwardLogOdds;
-                  return a.targetIndex < b.targetIndex;
-              });
-    std::sort(delta.result.msvSurvivors.begin(),
-              delta.result.msvSurvivors.end());
+    canonicalize(delta.result);
     return delta;
 }
 
@@ -515,13 +366,9 @@ searchDatabaseStreaming(const ProfileHmm &prof,
     const size_t e = std::min(cfg.targetEnd, n);
 
     // Same per-epoch virtual window as the in-RAM scan so the
-    // kernels' trace-address config matches (no sink is ever
-    // attached here, but identical configs keep the equivalence
-    // unconditional).
-    constexpr uint64_t kStreamBase = 0x6000'0000'0000ull;
+    // kernels' trace-address config matches.
     const uint64_t epochBase =
-        kStreamBase + static_cast<uint64_t>(cfg.streamEpoch) *
-                          (db.info().scaledBytes + (1ull << 20));
+        streamEpochBase(db.info().scaledBytes, cfg);
 
     const uint64_t disk0 = db.readerStats().bytesFromDisk;
     const double lat0 = db.readerStats().ioLatency;
@@ -540,15 +387,7 @@ searchDatabaseStreaming(const ProfileHmm &prof,
     result.stats.bytesFromDisk +=
         db.readerStats().bytesFromDisk - disk0;
     result.stats.ioLatency += db.readerStats().ioLatency - lat0;
-
-    std::sort(result.hits.begin(), result.hits.end(),
-              [](const Hit &a, const Hit &b) {
-                  if (a.forwardLogOdds != b.forwardLogOdds)
-                      return a.forwardLogOdds > b.forwardLogOdds;
-                  return a.targetIndex < b.targetIndex;
-              });
-    std::sort(result.msvSurvivors.begin(),
-              result.msvSurvivors.end());
+    canonicalize(result);
     return result;
 }
 

@@ -56,52 +56,23 @@ struct SearchConfig
     uint32_t streamEpoch = 0;
 
     /**
-     * Staged overlapped scan (untraced multi-thread path only): an
-     * I/O stage prefetches target chunks through a BufferedReader
-     * into rotating slabs while MSV prefilter workers fan out over
-     * the chunk queue and banded-kernel workers drain prefilter
-     * survivors from a bounded MPMC queue. Off falls back to the
-     * static block-partitioned scan. Traced scans (any sink
-     * attached) always use the static partition — the per-worker
-     * trace streams are the simulator's stability contract.
+     * Staged overlapped scan (untraced multi-thread whole-file scans
+     * only; see msa/staged_scan.hh): target chunks stream through a
+     * BufferedReader while the MSV prefilter and the banded rescoring
+     * run as work-stealing tasks. Off falls back to the block
+     * partition. Traced scans (any sink attached) always use the
+     * equal split — the per-worker trace streams are the simulator's
+     * stability contract. Hit sets, survivor lists and pipeline
+     * counters are identical either way.
      */
     bool overlap = true;
-
-    /**
-     * Chunk-queue bound: how many prefetched chunks the I/O stage
-     * may run ahead of compute (the double-buffering depth; also
-     * the number of staging slabs).
-     */
-    size_t prefetchChunks = 2;
-
-    /**
-     * Survivor-queue bound. Prefilter workers that would overflow
-     * it rescore a queued survivor themselves (backpressure by
-     * helping), so band-heavy queries throttle the prefilter
-     * instead of growing an unbounded backlog.
-     */
-    size_t survivorQueueDepth = 64;
-
-    /**
-     * Schedule the overlapped scan on the TaskGroup runtime
-     * (staged::runStagedScanTasks): streaming, prefiltering, and
-     * survivor rescoring become work-stealing tasks chained per
-     * chunk — the producer throttles by helping instead of blocking
-     * on the chunk queue, and each MSV survivor's banded rescore is
-     * spawned as its own task instead of crossing an MPMC queue.
-     * Off falls back to the queue-based staged engine. Hit sets,
-     * survivor lists, and pipeline counters are identical either
-     * way; only thread scheduling differs.
-     */
-    bool taskScan = true;
 
     /**
      * Target index subrange [targetBegin, min(targetEnd, db size))
      * to scan — how a shard scans only its slice of a partitioned
      * database (msa/sharded_search.hh). The default covers the
-     * whole database and leaves every code path (including the
-     * staged overlapped scan) exactly as before; a proper subrange
-     * always uses the statically partitioned scan.
+     * whole database; a proper subrange always uses the block or
+     * traced partition, never the staged scan.
      */
     size_t targetBegin = 0;
     size_t targetEnd = SIZE_MAX;
@@ -127,23 +98,25 @@ struct Hit
 
 /**
  * Per-stage counters for the overlapped staged scan. Zero when only
- * the static/serial/traced paths ran. Busy-seconds are real
+ * the serial, block or traced engines ran. Busy-seconds are real
  * wall-clock (not simulated) and attribute where a thread sweep
  * saturates: I/O-bound scans show producer waits and low compute
- * occupancy; band-skewed scans show survivor-queue pressure.
+ * occupancy; band-skewed scans show in-place survivor rescoring.
  */
 struct ScanStageStats
 {
     uint64_t overlappedScans = 0;   ///< scans that took the staged path
     uint64_t chunks = 0;            ///< prefetched target chunks
-    uint64_t survivorsQueued = 0;   ///< survivors pushed to the queue
-    uint64_t survivorsInline = 0;   ///< rescored by the pusher (backpressure)
+    uint64_t survivorsQueued = 0;   ///< survivors sent to the rescore stage
+    uint64_t survivorsInline = 0;   ///< rescored in place (backpressure)
 
     uint64_t chunkQueuePeak = 0;    ///< max prefetched chunks in flight
-    uint64_t survivorQueuePeak = 0; ///< max queued survivors
-    uint64_t producerWaits = 0;     ///< I/O stage blocked on full chunk queue
-    uint64_t chunkWaits = 0;        ///< compute starved waiting for a chunk
-    uint64_t survivorWaits = 0;     ///< drain blocked on an empty survivor queue
+    uint64_t survivorQueuePeak = 0; ///< max unscored survivors in flight
+    uint64_t producerWaits = 0;     ///< I/O stage throttled by a full window
+    /** Compute starved waiting for a chunk. The task engine never
+     *  waits (idle workers steal), so this reads 0; kept for the
+     *  Fig 4 and perfbench reports that print it. */
+    uint64_t chunkWaits = 0;
 
     double ioSeconds = 0.0;         ///< producer stage busy time
     double msvSeconds = 0.0;        ///< prefilter busy time, summed over workers
@@ -307,22 +280,6 @@ SearchResult searchDatabaseStreaming(
  */
 int msvThreshold(const ProfileHmm &prof, size_t target_len,
                  const SearchConfig &cfg);
-
-/**
- * Worker count for a scan: min(cfg.threads, pool size), at least 1.
- * Warns (once per call) when cfg.threads exceeds the pool — the
- * request cannot be honored and used to clamp silently.
- * @param who Caller name for the warning ("searchDatabase", ...).
- */
-size_t scanWorkers(const SearchConfig &cfg, const ThreadPool *pool,
-                   const char *who);
-
-/**
- * Shared block-size policy for scan parallelism: ~8 blocks per
- * worker so skewed per-target cost load-balances, with a floor of
- * one target per block.
- */
-size_t scanGrain(size_t n, size_t workers);
 
 } // namespace afsb::msa
 

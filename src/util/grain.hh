@@ -13,7 +13,7 @@
  * any pool size) hold: the block partition, and therefore the
  * floating-point reduction shape, is a function of the problem alone.
  *
- * The one exception is `scanGrain`, whose contract *is* per-worker
+ * The one exception is `forScan`, whose contract *is* per-worker
  * (MSA scan chunking tracks the configured scan width, and scan
  * results are made order-independent by a canonical sort instead).
  */

@@ -1,14 +1,17 @@
 /**
  * @file
- * Overlapped staged scan vs. static partition: the two untraced
- * paths must produce bit-identical hit sets (scores included) and
+ * Overlapped staged scan vs. block partition: the two untraced
+ * engines must produce bit-identical hit sets (scores included) and
  * identical pipeline counters at any thread count, and the staged
- * path must be deterministic across repeated runs. Also covers the
+ * engine must be deterministic across repeated runs. Also covers the
  * jackhmmer survivor carry-over, the nhmmer window pipeline, stage
  * counter accounting, and the thread clamp.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "bio/seqgen.hh"
 #include "msa/dbgen.hh"
@@ -78,14 +81,12 @@ struct OverlapFixture : public ::testing::Test
 
     SearchResult
     scan(ThreadPool *pool, size_t threads, bool overlap,
-         const std::vector<uint32_t> *priority = nullptr,
-         bool taskScan = true)
+         const std::vector<uint32_t> *priority = nullptr)
     {
         SearchConfig cfg;
         cfg.threads = threads;
         cfg.overlap = overlap;
         cfg.priorityTargets = priority;
-        cfg.taskScan = taskScan;
         return searchDatabase(*prof, db, *cache, pool, cfg);
     }
 
@@ -111,31 +112,6 @@ TEST_F(OverlapFixture, MatchesStaticPathAcrossThreadCounts)
     }
 }
 
-TEST_F(OverlapFixture, TaskEngineMatchesQueueEngineAcrossThreads)
-{
-    // The default overlapped path runs on the TaskGroup engine
-    // (runStagedScanTasks); taskScan = false selects the queue
-    // engine. Both must match the serial reference bit-exactly,
-    // and the task engine must keep the queue engine's pipeline
-    // accounting invariants.
-    const auto reference = scan(nullptr, 1, false);
-    for (size_t threads : {2u, 4u, 8u}) {
-        ThreadPool pool(threads);
-        const auto tasked =
-            scan(&pool, threads, true, nullptr, true);
-        const auto queued =
-            scan(&pool, threads, true, nullptr, false);
-        expectIdentical(reference, tasked);
-        expectIdentical(reference, queued);
-        EXPECT_EQ(tasked.stats.stages.workersUsed, threads);
-        EXPECT_EQ(tasked.stats.stages.survivorsQueued,
-                  tasked.stats.msvPassed);
-        EXPECT_LE(tasked.stats.stages.survivorsInline,
-                  tasked.stats.stages.survivorsQueued);
-        EXPECT_LE(tasked.stats.stages.occupancy(), 1.0 + 1e-9);
-    }
-}
-
 TEST_F(OverlapFixture, RepeatedOverlappedRunsAreIdentical)
 {
     ThreadPool pool(8);
@@ -156,25 +132,29 @@ TEST_F(OverlapFixture, PriorityOrderingNeverChangesHits)
 
 TEST_F(OverlapFixture, StageCountersAccountForTheScan)
 {
-    ThreadPool pool(4);
-    const auto r = scan(&pool, 4, true);
-    const auto &st = r.stats.stages;
-    EXPECT_EQ(st.overlappedScans, 1u);
-    EXPECT_GT(st.chunks, 1u);
-    EXPECT_EQ(st.workersUsed, 4u);
-    // Every MSV survivor went through the queue exactly once
-    // (pushed, or rescored inline under backpressure by its pusher).
-    EXPECT_EQ(st.survivorsQueued, r.stats.msvPassed);
-    // Each queued survivor is popped by a worker or helped inline.
-    EXPECT_LE(st.survivorsInline, st.survivorsQueued);
-    // The prefetch reader streamed the whole FASTA once.
-    EXPECT_EQ(st.reader.bytesCopied, r.stats.bytesStreamed);
-    EXPECT_EQ(r.stats.bytesStreamed,
-              vfs.size(*vfs.open("prot.fasta")));
-    EXPECT_GT(st.msvSeconds, 0.0);
-    EXPECT_GT(st.wallSeconds, 0.0);
-    EXPECT_GT(st.occupancy(), 0.0);
-    EXPECT_LE(st.occupancy(), 1.0 + 1e-9);
+    for (size_t threads : {2u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        ThreadPool pool(threads);
+        const auto r = scan(&pool, threads, true);
+        const auto &st = r.stats.stages;
+        EXPECT_EQ(st.overlappedScans, 1u);
+        EXPECT_GT(st.chunks, 1u);
+        EXPECT_EQ(st.workersUsed, threads);
+        // Every MSV survivor reached the rescore stage exactly once
+        // (as its own task, or in place under backpressure).
+        EXPECT_EQ(st.survivorsQueued, r.stats.msvPassed);
+        EXPECT_LE(st.survivorsInline, st.survivorsQueued);
+        // Idle workers steal; nothing waits on a chunk.
+        EXPECT_EQ(st.chunkWaits, 0u);
+        // The prefetch reader streamed the whole FASTA once.
+        EXPECT_EQ(st.reader.bytesCopied, r.stats.bytesStreamed);
+        EXPECT_EQ(r.stats.bytesStreamed,
+                  vfs.size(*vfs.open("prot.fasta")));
+        EXPECT_GT(st.msvSeconds, 0.0);
+        EXPECT_GT(st.wallSeconds, 0.0);
+        EXPECT_GT(st.occupancy(), 0.0);
+        EXPECT_LE(st.occupancy(), 1.0 + 1e-9);
+    }
 }
 
 TEST_F(OverlapFixture, ColdCacheStreamsFromDisk)
@@ -220,19 +200,18 @@ TEST(OverlapJackhmmer, CarryAndOverlapNeverChangeTheMsa)
         vfs, cache, "db.fasta", MoleculeType::Protein, 0.0);
 
     ThreadPool pool(4);
-    auto run = [&](bool overlap, bool carry) {
+    // Rounds after the first carry the previous round's survivors
+    // as priority hints, so the overlapped run also exercises them.
+    auto run = [&](bool overlap) {
         JackhmmerConfig cfg;
         cfg.iterations = 3;
         cfg.search.threads = 4;
         cfg.search.overlap = overlap;
-        cfg.carrySurvivors = carry;
         return runJackhmmer(query, db, cache, &pool, cfg);
     };
-    const auto base = run(false, false);
-    const auto carried = run(true, true);
-    const auto uncarried = run(true, false);
-    EXPECT_EQ(base.msa.depth(), carried.msa.depth());
-    EXPECT_EQ(base.msa.depth(), uncarried.msa.depth());
+    const auto base = run(false);
+    const auto carried = run(true);
+    EXPECT_EQ(base.msa.rows, carried.msa.rows);
     EXPECT_EQ(base.rounds, carried.rounds);
     EXPECT_EQ(base.stats.hits, carried.stats.hits);
     EXPECT_EQ(base.stats.msvPassed, carried.stats.msvPassed);
@@ -261,24 +240,46 @@ TEST(OverlapNhmmer, WindowScanMatchesStaticPath)
     const auto db = SequenceDatabase::load(
         vfs, cache, "rna.fasta", MoleculeType::Rna, 0.0);
 
-    ThreadPool pool(4);
-    auto run = [&](bool overlap) {
+    auto run = [&](ThreadPool *pool, size_t threads, bool overlap) {
         NhmmerConfig cfg;
-        cfg.search.threads = 4;
+        cfg.search.threads = threads;
         cfg.search.overlap = overlap;
-        return runNhmmer(query, db, cache, &pool, cfg);
+        return runNhmmer(query, db, cache, pool, cfg);
     };
-    const auto fixed = run(false);
-    const auto overlapped = run(true);
-    EXPECT_EQ(fixed.windowsScanned, overlapped.windowsScanned);
-    EXPECT_EQ(fixed.stats.targetsScanned,
-              overlapped.stats.targetsScanned);
-    EXPECT_EQ(fixed.stats.msvPassed, overlapped.stats.msvPassed);
-    EXPECT_EQ(fixed.stats.hits, overlapped.stats.hits);
-    EXPECT_EQ(fixed.stats.bytesStreamed,
-              overlapped.stats.bytesStreamed);
-    EXPECT_EQ(fixed.msa.depth(), overlapped.msa.depth());
-    EXPECT_EQ(overlapped.stats.stages.overlappedScans, 1u);
+    // NhmmerResult keeps no hit list; the MSA's row ids are the
+    // accepted hits in hit order, and alignCells sums their DP.
+    const auto reference = run(nullptr, 1, false);
+    ASSERT_GT(reference.msa.depth(), 1u);
+    for (size_t threads : {0u, 1u, 2u, 4u}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0)
+            pool = std::make_unique<ThreadPool>(threads);
+        for (bool overlap : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "pool " << threads
+                                            << " overlap " << overlap);
+            const auto r =
+                run(pool.get(), std::max<size_t>(1, threads), overlap);
+            EXPECT_EQ(r.windowsScanned, reference.windowsScanned);
+            EXPECT_EQ(r.stats.targetsScanned,
+                      reference.stats.targetsScanned);
+            EXPECT_EQ(r.stats.msvPassed, reference.stats.msvPassed);
+            EXPECT_EQ(r.stats.viterbiPassed,
+                      reference.stats.viterbiPassed);
+            EXPECT_EQ(r.stats.cellsMsv, reference.stats.cellsMsv);
+            EXPECT_EQ(r.stats.cellsViterbi,
+                      reference.stats.cellsViterbi);
+            EXPECT_EQ(r.stats.cellsForward,
+                      reference.stats.cellsForward);
+            EXPECT_EQ(r.stats.hits, reference.stats.hits);
+            EXPECT_EQ(r.stats.bytesStreamed,
+                      reference.stats.bytesStreamed);
+            EXPECT_EQ(r.stats.stages.overlappedScans,
+                      overlap && threads > 1 ? 1u : 0u);
+            EXPECT_EQ(r.msa.alignCells, reference.msa.alignCells);
+            EXPECT_EQ(r.msa.rowIds, reference.msa.rowIds);
+            EXPECT_EQ(r.msa.rows, reference.msa.rows);
+        }
+    }
 }
 
 } // namespace

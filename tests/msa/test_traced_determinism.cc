@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "bio/seqgen.hh"
 #include "msa/dbgen.hh"
 #include "msa/dp_kernels.hh"
+#include "msa/nhmmer.hh"
 #include "msa/search.hh"
 #include "util/units.hh"
 
@@ -208,6 +210,159 @@ TEST(TracedDeterminism, TracedScanIgnoresOverlapKnobs)
     std::vector<uint32_t> prio = {5, 3, 1};
     EXPECT_EQ(base, tracedHash(true, &prio));
     EXPECT_EQ(base, 0xb68f18131503b870ull);
+}
+
+/**
+ * HashSink keyed by function *name* rather than FuncId, so the hash
+ * does not depend on the order this process interned the ids in
+ * (earlier tests in the same process intern other names first).
+ */
+class NamedHashSink : public HashSink
+{
+  public:
+    void access(const MemAccess &a) override
+    {
+        HashSink::access({a.addr, a.size, a.write, 0});
+        mix(nameKey(a.func));
+    }
+
+    void instructions(FuncId func, uint64_t count) override
+    {
+        HashSink::instructions(0, count);
+        mix(nameKey(func));
+    }
+
+    void branches(FuncId func, uint64_t predictable,
+                  uint64_t data_dependent) override
+    {
+        HashSink::branches(0, predictable, data_dependent);
+        mix(nameKey(func));
+    }
+
+  private:
+    static uint64_t
+    nameKey(FuncId f)
+    {
+        uint64_t k = 1469598103934665603ull;
+        for (char c : FuncRegistry::global().name(f)) {
+            k ^= static_cast<unsigned char>(c);
+            k *= 1099511628211ull;
+        }
+        return k;
+    }
+};
+
+/**
+ * Intern every FuncId a traced scan uses before its workers start:
+ * FuncRegistry is not synchronized, so workers must only read it.
+ */
+void
+pinFuncIds()
+{
+    wellknown::calcBand9();
+    wellknown::calcBand10();
+    wellknown::addbuf();
+    wellknown::seebuf();
+    wellknown::copyToIter();
+    wellknown::msvFilter();
+}
+
+/** Fold per-worker sink hashes (in worker order) into one value. */
+uint64_t
+combinedHash(const std::vector<NamedHashSink> &sinks)
+{
+    HashSink all;
+    for (const auto &s : sinks) {
+        all.mix(s.h);
+        all.mix(s.instr);
+        all.mix(s.pred);
+        all.mix(s.dataDep);
+    }
+    return all.h;
+}
+
+TEST(TracedDeterminism, TracedScanEqualSplitGolden)
+{
+    // Two workers, two sinks: the traced equal split hands each
+    // worker one contiguous half of the database, and each sink's
+    // stream is part of the simulator contract.
+    pinFuncIds();
+    bio::SequenceGenerator gen(42);
+    const auto query =
+        gen.random("q", bio::MoleculeType::Protein, 120);
+    io::Vfs vfs;
+    io::StorageDevice dev;
+    io::PageCache cache(1 * GiB, &dev);
+    DbGenConfig dcfg;
+    dcfg.decoyCount = 40;
+    dcfg.homologsPerQuery = 4;
+    dcfg.fragmentsPerQuery = 2;
+    const std::vector<const bio::Sequence *> queries = {&query};
+    generateDatabase(vfs, "t.fasta", queries,
+                     bio::MoleculeType::Protein, dcfg);
+    const auto db = SequenceDatabase::load(
+        vfs, cache, "t.fasta", bio::MoleculeType::Protein, 0.0);
+    const auto prof =
+        ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
+
+    ThreadPool pool(2);
+    SearchConfig cfg;
+    cfg.threads = 2;
+    cfg.kernel.traceStride = 4;
+    std::vector<NamedHashSink> sinks(2);
+    const std::vector<MemTraceSink *> ptrs = {&sinks[0], &sinks[1]};
+    const auto r =
+        searchDatabase(prof, db, cache, &pool, cfg, 0.0, ptrs);
+    EXPECT_EQ(r.stats.stages.overlappedScans, 0u);
+    EXPECT_EQ(sinks[0].h, 0x45468744e8df2ac6ull);
+    EXPECT_EQ(sinks[1].h, 0x9acbb425da23b8f1ull);
+    EXPECT_EQ(combinedHash(sinks), 0xc7a72d8d2c2d2774ull);
+}
+
+/** Traced nhmmer over a small RNA database with @p workers sinks. */
+uint64_t
+tracedNhmmerHash(size_t workers)
+{
+    pinFuncIds();
+    bio::SequenceGenerator gen(888);
+    const auto query = gen.random("q", bio::MoleculeType::Rna, 90);
+    io::Vfs vfs;
+    io::StorageDevice dev;
+    io::PageCache cache(1 * GiB, &dev);
+    DbGenConfig dcfg;
+    dcfg.decoyCount = 60;
+    dcfg.homologsPerQuery = 4;
+    const std::vector<const bio::Sequence *> queries = {&query};
+    generateDatabase(vfs, "rna.fasta", queries,
+                     bio::MoleculeType::Rna, dcfg);
+    const auto db = SequenceDatabase::load(
+        vfs, cache, "rna.fasta", bio::MoleculeType::Rna, 0.0);
+
+    NhmmerConfig cfg;
+    cfg.search.threads = workers;
+    cfg.search.kernel.traceStride = 4;
+    std::vector<NamedHashSink> sinks(workers);
+    std::vector<MemTraceSink *> ptrs;
+    for (auto &s : sinks)
+        ptrs.push_back(&s);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 1)
+        pool = std::make_unique<ThreadPool>(workers);
+    const auto r =
+        runNhmmer(query, db, cache, pool.get(), cfg, 0.0, ptrs);
+    EXPECT_EQ(r.stats.stages.overlappedScans, 0u);
+    EXPECT_GT(r.stats.msvPassed, 0u);
+    return combinedHash(sinks);
+}
+
+TEST(TracedDeterminism, NhmmerTracedOneSinkGolden)
+{
+    EXPECT_EQ(tracedNhmmerHash(1), 0x8562bcb62032bf71ull);
+}
+
+TEST(TracedDeterminism, NhmmerTracedTwoSinksGolden)
+{
+    EXPECT_EQ(tracedNhmmerHash(2), 0x016bb504c565e323ull);
 }
 
 } // namespace
